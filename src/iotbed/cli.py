@@ -14,7 +14,7 @@ import os
 import sys
 
 from .config import CliConfig, load_config
-from .errors import TestbedError
+from .errors import AnalysisError, TestbedError
 from .model import ElementKind
 from .orchestrator import (RunOptions, builtin_descriptors, device_descriptor,
                            read_report_fields, render_report, run_scenario)
@@ -272,7 +272,13 @@ def cmd_report(args, config: CliConfig) -> int:
     if not os.path.exists(rec_path):
         raise TestbedError(f"unknown run id {args.run_id!r} "
                            f"(no {rec_path})")
-    sys.stdout.write(render_report(read_report_fields(rec_path)))
+    try:
+        text = render_report(read_report_fields(rec_path))
+    except KeyError as exc:
+        raise AnalysisError(f"{rec_path}: missing field {exc}") from None
+    except ValueError as exc:
+        raise AnalysisError(f"{rec_path}: {exc}") from None
+    sys.stdout.write(text)
     return 0
 
 

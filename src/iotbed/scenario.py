@@ -20,7 +20,6 @@ line number of the offending directive.
 from __future__ import annotations
 
 import os
-from typing import Iterable
 
 from .errors import ScenarioError, ValidationError
 from .model import (
@@ -215,13 +214,3 @@ def serialize_scenario(scenario: Scenario) -> str:
             lines.append(_format_action(action))
     return "\n".join(lines) + "\n"
 
-
-def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_scenario(scenario))
-
-
-def scenario_actions(scenario: Scenario) -> Iterable[tuple[Test, Action]]:
-    for test in scenario.tests:
-        for action in test.actions:
-            yield test, action

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import AnalysisError
 from .payload import find_gps_marker, shannon_entropy
 
 
@@ -81,15 +82,6 @@ class CaptureTap:
         """Records with t0 <= ts < t1."""
         return [r for r in self._records if t0 <= r.ts < t1]
 
-    def involving(self, device_id: str) -> list[CaptureRecord]:
-        return [r for r in self._records
-                if r.src_addr == device_id or r.dst_addr == device_id]
-
-
-def involving(records: list[CaptureRecord], device_id: str) -> list[CaptureRecord]:
-    return [r for r in records
-            if r.src_addr == device_id or r.dst_addr == device_id]
-
 
 def write_capture(records: list[CaptureRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -105,21 +97,29 @@ def write_capture(records: list[CaptureRecord], path: str) -> None:
 
 
 def read_capture(path: str) -> list[CaptureRecord]:
+    """Records of a capture file; AnalysisError with path:line if malformed."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            kv = dict(tok.split("=", 1) for tok in line.split())
-            marker = kv["payload_marker"]
-            records.append(CaptureRecord(
-                seq=int(kv["seq"]), ts=float(kv["ts"]), src_addr=kv["src_addr"],
-                dst_addr=kv["dst_addr"], src_port=int(kv["src_port"]),
-                dst_port=int(kv["dst_port"]), proto=kv["proto"],
-                ttl=int(kv["ttl"]), size=int(kv["size"]),
-                payload_entropy=float(kv["payload_entropy"]),
-                payload_marker=None if marker == "-" else marker,
-                direction=kv["direction"], kind=kv.get("kind", ""),
-                payload=None))
+            try:
+                kv = dict(tok.split("=", 1) for tok in line.split())
+                marker = kv["payload_marker"]
+                records.append(CaptureRecord(
+                    seq=int(kv["seq"]), ts=float(kv["ts"]),
+                    src_addr=kv["src_addr"], dst_addr=kv["dst_addr"],
+                    src_port=int(kv["src_port"]),
+                    dst_port=int(kv["dst_port"]), proto=kv["proto"],
+                    ttl=int(kv["ttl"]), size=int(kv["size"]),
+                    payload_entropy=float(kv["payload_entropy"]),
+                    payload_marker=None if marker == "-" else marker,
+                    direction=kv["direction"], kind=kv.get("kind", ""),
+                    payload=None))
+            except KeyError as exc:
+                raise AnalysisError(
+                    f"{path}:{line_no}: missing field {exc}") from None
+            except ValueError as exc:
+                raise AnalysisError(f"{path}:{line_no}: {exc}") from None
     return records

@@ -1,19 +1,23 @@
 """Loopback transport backend: real TCP sockets on 127.0.0.1.
 
-Each open virtual port becomes a threaded TCP server on an OS-assigned
-loopback port; requests travel as length-prefixed frames and are answered
-by the same ServiceEngine the in-memory backend uses.  Background
-telemetry, status sampling, attack bursts and proxies run as daemon
-threads on the wall clock, so timing here is NOT deterministic; the
-memory backend is the one with reproducibility guarantees.
+Devices are the same actors the in-memory backend runs (memnet's
+_DeviceActor), scheduled here on a WallClock instead of a VirtualClock:
+both backends run one device model and differ only in clock and
+transport, wall time against virtual time and sockets against in-process
+calls.  Each open virtual port becomes a threaded TCP server on an
+OS-assigned loopback port; requests travel as length-prefixed frames and
+are answered by the device's ServiceEngine.  Timing here is NOT
+deterministic; the memory backend is the one with reproducibility
+guarantees.
+
+One lock, LoopbackNetwork.lock, guards the devices and the tap: every
+clock callback, every engine.handle and every emit runs under it.
 
 Intended for integration realism; call shutdown() when done.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 import socket
 import socketserver
 import struct
@@ -21,13 +25,11 @@ import threading
 import time
 
 from ..errors import TransportError
-from .capture import CaptureRecord, CaptureTap, classify_direction
-from .context import ContextEvent, ContextFeed
+from .clock import WallClock
+from .context import ContextEvent
 from .devspec import DeviceSpec
-from .memnet import CaptureHandle, ProxyMutator, _flip_bits
-from .payload import encrypted_payload, gps_marker, plaintext_payload
-from .services import DeviceState, ServiceEngine
-from .status import InternalStatusSample, synth_sample
+from .memnet import (DeviceHandle, MemoryNetwork, ProxyMutator, _DeviceActor,
+                     _flip_bits, _Network, _PathState, _Proxy)
 
 FRAME_HEAD = struct.Struct(">I")
 REQUEST_TIMEOUT_S = 2.0
@@ -58,198 +60,65 @@ def _recv_frame(sock: socket.socket) -> bytes | None:
 
 
 class _FrameServer(socketserver.ThreadingTCPServer):
+    """Serves one virtual port of one device."""
+
     daemon_threads = True
     allow_reuse_address = True
 
+    def __init__(self, lock: threading.Lock, actor: _DeviceActor, vport: int):
+        self.lock = lock
+        self.actor = actor
+        self.vport = vport
+        super().__init__(("127.0.0.1", 0), _FrameHandler)
 
-class _LoopDevice:
-    def __init__(self, net: "LoopbackNetwork", spec: DeviceSpec):
-        self.net = net
-        self.spec = spec
-        self.state = DeviceState()
-        self.rng = random.Random(f"{net.seed}/{spec.device_id}")
-        self.engine = ServiceEngine(spec, self.state, self.rng)
-        self.lock = threading.Lock()
-        self.samples: list[InternalStatusSample] = []
-        self.port_map: dict[int, int] = {}      # virtual -> real
-        self.proxy_map: dict[int, int] = {}     # virtual -> relay real port
-        self.servers: list[_FrameServer] = []
-        self.stop_event = threading.Event()
-        self.burst_until = 0.0
-        self.burst_count = 0
-        self._in_trigger_window = False
-        self._eph = itertools.count(40000)
 
-    # -- servers --------------------------------------------------------
-    def start(self) -> None:
-        for vport in self.spec.ports:
-            server = _FrameServer(("127.0.0.1", 0), self._make_handler(vport))
-            self.port_map[vport] = server.server_address[1]
-            self.servers.append(server)
-            threading.Thread(target=server.serve_forever, daemon=True).start()
-        threading.Thread(target=self._status_loop, daemon=True).start()
-        if self.spec.traffic is not None:
-            threading.Thread(target=self._telemetry_loop, daemon=True).start()
-        if self.spec.compromise is not None:
-            self.net.feed.subscribe(self._on_context)
-
-    def _make_handler(self, vport: int):
-        device = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                while True:
-                    data = _recv_frame(self.request)
-                    if data is None:
-                        return
-                    with device.lock:
-                        reply = device.engine.handle(vport, data)
-                        crashed = device.state.crashed
-                    if crashed:
-                        device.kill()
-                        return
-                    if reply is not None:
-                        try:
-                            _send_frame(self.request, reply)
-                        except OSError:
-                            return
-
-        return Handler
-
-    def kill(self) -> None:
-        self.state.alive = False
-        self.stop_event.set()
-        for server in self.servers:
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
-    # -- background -----------------------------------------------------
-    def _status_loop(self) -> None:
-        period = self.spec.monitor.period_s
-        while not self.stop_event.wait(period):
-            if not self.state.alive:
+class _FrameHandler(socketserver.BaseRequestHandler):
+    def handle(self):
+        server: _FrameServer = self.server
+        actor = server.actor
+        while True:
+            data = _recv_frame(self.request)
+            if data is None:
                 return
-            now = self.net.now()
-            with self.lock:
-                self.samples.append(synth_sample(
-                    self.spec.monitor, self.rng, now, self.spec.device_id,
-                    bursting=now <= self.burst_until))
-
-    def _telemetry_loop(self) -> None:
-        traffic = self.spec.traffic
-        if traffic.session_rate <= 0:
-            return
-        gap_s = 60.0 / traffic.session_rate
-        while not self.stop_event.wait(gap_s * self.rng.uniform(0.5, 1.0)):
-            if not self.state.alive:
+            with server.lock:
+                reply = actor.engine.handle(server.vport, data)
+            if not actor.state.alive:
                 return
-            self._run_session()
+            if reply is not None:
+                try:
+                    _send_frame(self.request, reply)
+                except OSError:
+                    return
 
-    def _run_session(self) -> None:
-        traffic = self.spec.traffic
-        src_port = next(self._eph)
-        n_packets = self.rng.randint(8, 16)
-        sock = self.net.cloud_connect()
-        try:
-            for i in range(n_packets):
-                if i > 0 or self.stop_event.is_set():
-                    gap = max(1.0, self.rng.gauss(
-                        traffic.gap_ms, traffic.gap_stddev_ms)) / 1000.0
-                    if self.stop_event.wait(gap):
-                        return
-                size = max(32, min(4096, int(self.rng.gauss(
-                    traffic.size_mean, traffic.size_stddev))))
-                payload = self._telemetry_payload(size)
-                if sock is not None:
-                    try:
-                        _send_frame(sock, payload)
-                    except OSError:
-                        sock = None
-                self.net.emit(src=self.spec.device_id, src_port=src_port,
-                              dst="cloud", dst_port=8883,
-                              ttl=traffic.ttl, kind="background",
-                              payload=payload)
-        finally:
-            if sock is not None:
-                sock.close()
 
-    def _telemetry_payload(self, size: int) -> bytes:
-        if self.spec.payload_mode == "encrypted":
-            return encrypted_payload(self.rng, size)
-        marker = None
-        if self.spec.leaks_location():
-            marker = gps_marker(*self.engine.location)
-        return plaintext_payload(self.rng, size, marker)
-
-    # -- compromise -----------------------------------------------------
-    def _on_context(self, event: ContextEvent) -> None:
-        comp = self.spec.compromise
-        if comp is None or not self.state.alive:
-            return
-        self.engine.location = (event.lat, event.lon)
-        match = comp.trigger.matches(event)
-        if match and not self._in_trigger_window:
-            threading.Thread(target=self._burst, daemon=True).start()
-        self._in_trigger_window = match
-
-    def _burst(self) -> None:
-        comp = self.spec.compromise
-        pairs = [(t, p) for t in comp.targets for p in comp.probe_ports]
-        self.burst_until = self.net.now() + \
-            len(pairs) * comp.probe_interval_ms / 1000.0 + 0.5
-        self.burst_count += 1
-        for target, port in pairs:
-            if self.stop_event.is_set() or not self.state.alive:
-                return
-            self.net.emit(src=self.spec.device_id, src_port=next(self._eph),
-                          dst=target, dst_port=port,
-                          ttl=self.spec.traffic.ttl if self.spec.traffic else 64,
-                          kind="attack_probe", payload=b"")
-            peer = self.net.devices.get(target)
-            if peer is not None:
-                real = peer.port_map.get(port)
-                if real is not None:
-                    sock = socket.socket()
-                    sock.settimeout(0.2)
-                    if sock.connect_ex(("127.0.0.1", real)) == 0:
-                        banner = peer.spec.ports[port].effective_banner()
-                        self.net.emit(src=target, src_port=port,
-                                      dst=self.spec.device_id, dst_port=0,
-                                      ttl=64, kind="banner",
-                                      payload=banner.encode("ascii"))
-                    sock.close()
-            time.sleep(comp.probe_interval_ms / 1000.0)
+def _mutate(path: _PathState, mutator: ProxyMutator,
+            data: bytes) -> bytes | None:
+    """One frame through one proxy direction; None when it is dropped."""
+    if path.should_drop(mutator.drop_rate):
+        return None
+    if path.should_corrupt(mutator.corrupt_rate):
+        return _flip_bits(data)
+    return data
 
 
 class _Relay(socketserver.ThreadingTCPServer):
-    """Frame-level proxy applying a ProxyMutator between client and device."""
+    """Frame-level proxy applying a device's _Proxy between client and port."""
 
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, upstream_port: int, mutator: ProxyMutator):
+    def __init__(self, lock: threading.Lock, upstream_port: int,
+                 proxy: _Proxy):
+        self.lock = lock
         self.upstream_port = upstream_port
-        self.mutator = mutator
-        self._acc_lock = threading.Lock()
-        self._drop_acc = 0.0
-        self._corrupt_acc = 0.0
+        self.proxy = proxy
         super().__init__(("127.0.0.1", 0), _RelayHandler)
-
-    def decide(self) -> tuple[bool, bool]:
-        with self._acc_lock:
-            self._drop_acc += self.mutator.drop_rate
-            drop = self._drop_acc >= 1.0
-            if drop:
-                self._drop_acc -= 1.0
-            self._corrupt_acc += self.mutator.corrupt_rate
-            corrupt = self._corrupt_acc >= 1.0
-            if corrupt:
-                self._corrupt_acc -= 1.0
-        return drop, corrupt
 
 
 class _RelayHandler(socketserver.BaseRequestHandler):
     def handle(self):
         relay: _Relay = self.server
+        proxy = relay.proxy
         upstream = socket.socket()
         upstream.settimeout(REQUEST_TIMEOUT_S)
         try:
@@ -261,11 +130,10 @@ class _RelayHandler(socketserver.BaseRequestHandler):
                 data = _recv_frame(self.request)
                 if data is None:
                     return
-                drop, corrupt = relay.decide()
-                if drop:
+                with relay.lock:
+                    data = _mutate(proxy.request_path, proxy.mutator, data)
+                if data is None:
                     continue
-                if corrupt:
-                    data = _flip_bits(data)
                 try:
                     _send_frame(upstream, data)
                     reply = _recv_frame(upstream)
@@ -273,36 +141,16 @@ class _RelayHandler(socketserver.BaseRequestHandler):
                     return
                 if reply is None:
                     continue
-                if relay.mutator.delay_ms > 0:
-                    time.sleep(relay.mutator.delay_ms / 1000.0)
+                with relay.lock:
+                    reply = _mutate(proxy.response_path, proxy.mutator, reply)
+                if reply is None:
+                    continue
+                if proxy.mutator.delay_ms > 0:
+                    time.sleep(proxy.mutator.delay_ms / 1000.0)
                 try:
                     _send_frame(self.request, reply)
                 except OSError:
                     return
-
-
-class _CloudSink(socketserver.ThreadingTCPServer):
-    """Discards telemetry frames, counting them."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self):
-        self.frames = 0
-        self._lock = threading.Lock()
-        super().__init__(("127.0.0.1", 0), _CloudHandler)
-
-    def count(self) -> None:
-        with self._lock:
-            self.frames += 1
-
-
-class _CloudHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        while True:
-            if _recv_frame(self.request) is None:
-                return
-            self.server.count()
 
 
 class LoopConnection:
@@ -320,8 +168,10 @@ class LoopConnection:
     def request(self, data: bytes, kind: str = "request") -> bytes | None:
         if self.closed:
             raise TransportError("connection closed")
-        self.net.emit(src=self.src, src_port=self.src_port, dst=self.dst,
-                      dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
+        net = self.net
+        with net.lock:
+            net.emit(src=self.src, src_port=self.src_port, dst=self.dst,
+                     dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
         try:
             _send_frame(self.sock, data)
             reply = _recv_frame(self.sock)
@@ -329,9 +179,10 @@ class LoopConnection:
             return None
         if reply is None:
             return None
-        self.net.emit(src=self.dst, src_port=self.dst_port, dst=self.src,
-                      dst_port=self.src_port, ttl=64, kind="response",
-                      payload=reply)
+        with net.lock:
+            net.emit(src=self.dst, src_port=self.dst_port, dst=self.src,
+                     dst_port=self.src_port, ttl=net.actors[self.dst].ttl(),
+                     kind="response", payload=reply)
         return reply
 
     def close(self) -> None:
@@ -340,251 +191,132 @@ class LoopConnection:
             self.sock.close()
 
 
-class LoopDeviceHandle:
-    def __init__(self, device: _LoopDevice):
-        self._device = device
-
-    @property
-    def device_id(self) -> str:
-        return self._device.spec.device_id
-
-    @property
-    def spec(self) -> DeviceSpec:
-        return self._device.spec
-
-    @property
-    def alive(self) -> bool:
-        return self._device.state.alive
-
-    def local_process_list(self) -> str | None:
-        return self._device.engine.local_process_list()
-
-    def all_samples(self) -> list[InternalStatusSample]:
-        with self._device.lock:
-            return list(self._device.samples)
+def _open_port(real_port: int) -> tuple[socket.socket, bytes] | None:
+    """Connect to a loopback port and read its banner; None on failure."""
+    sock = socket.socket()
+    sock.settimeout(REQUEST_TIMEOUT_S)
+    try:
+        sock.connect(("127.0.0.1", real_port))
+        _send_frame(sock, b"BANNER")
+        banner = _recv_frame(sock)
+    except OSError:
+        banner = None
+    if banner is None:
+        sock.close()
+        return None
+    return sock, banner
 
 
-class LoopbackNetwork:
+class LoopbackNetwork(_Network):
     """Real-socket sibling of MemoryNetwork with the same operation set."""
 
     backend_name = "loopback"
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
-        self.tap = CaptureTap()
-        self.feed = ContextFeed()
-        self.devices: dict[str, _LoopDevice] = {}
-        self.dut_ids: set[str] = set()
-        self.emitted = 0
-        self._emit_lock = threading.Lock()
-        self._t0 = time.monotonic()
-        self._eph = itertools.count(50000)
-        self._capture_ids = itertools.count(1)
-        self._captures: dict[int, CaptureHandle] = {}
-        self._relays: dict[str, list[_Relay]] = {}
-        self.cloud = _CloudSink()
-        threading.Thread(target=self.cloud.serve_forever, daemon=True).start()
+        self.lock = threading.Lock()
+        super().__init__(seed, WallClock(self.lock))
+        self._ports: dict[str, dict[int, int]] = {}   # device: virtual->real
+        self._servers: list[_FrameServer] = []
+        self._relays: dict[str, dict[int, _Relay]] = {}
 
-    # -- plumbing -------------------------------------------------------
-    def now(self) -> float:
-        return time.monotonic() - self._t0
+    # Records are stamped exactly as on the memory backend; every caller
+    # holds self.lock.
+    emit = MemoryNetwork.emit
 
     def observe(self, seconds: float) -> None:
         time.sleep(seconds)
 
-    def emit(self, src: str, src_port: int, dst: str, dst_port: int,
-             ttl: int, kind: str, payload: bytes) -> None:
-        with self._emit_lock:
-            self.emitted += 1
-            self.tap.add(CaptureRecord.build(
-                seq=self.emitted, ts=self.now(), src_addr=src,
-                src_port=src_port, dst_addr=dst, dst_port=dst_port, ttl=ttl,
-                kind=kind,
-                direction=classify_direction(src, dst, self.dut_ids),
-                payload=payload))
-
-    def cloud_connect(self) -> socket.socket | None:
-        sock = socket.socket()
-        sock.settimeout(1.0)
-        try:
-            sock.connect(("127.0.0.1", self.cloud.server_address[1]))
-            return sock
-        except OSError:
-            sock.close()
-            return None
-
-    # -- device lifecycle -----------------------------------------------
-    def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> LoopDeviceHandle:
-        spec.validate()
-        if spec.device_id in self.devices:
-            raise TransportError(
-                f"ports already bound for device {spec.device_id!r}")
-        device = _LoopDevice(self, spec)
-        self.devices[spec.device_id] = device
-        if dut:
-            self.dut_ids.add(spec.device_id)
-        device.start()
-        return LoopDeviceHandle(device)
-
-    def handle(self, device_id: str) -> LoopDeviceHandle:
-        device = self.devices.get(device_id)
-        if device is None:
-            raise TransportError(f"unknown device {device_id!r}")
-        return LoopDeviceHandle(device)
-
-    def stop_device(self, device_id: str) -> None:
-        device = self.devices.get(device_id)
-        if device is None:
-            raise TransportError(f"unknown device {device_id!r}")
-        device.kill()
-
-    # -- context ---------------------------------------------------------
     def advance_context(self, events: list[ContextEvent]) -> None:
         if any(b.t < a.t for a, b in zip(events, events[1:])):
             raise TransportError("context events not sorted")
-        for event in events:
-            self.feed.publish(event)
+        with self.lock:
+            for event in events:
+                self.feed.publish(event)
+
+    # -- device lifecycle -----------------------------------------------
+    def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
+        with self.lock:
+            handle = super().spawn_device(spec, dut)
+        actor = self.actors[spec.device_id]
+        ports = self._ports[spec.device_id] = {}
+        for vport in spec.ports:
+            server = _FrameServer(self.lock, actor, vport)
+            ports[vport] = server.server_address[1]
+            self._servers.append(server)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+        return handle
 
     # -- client operations ----------------------------------------------
-    def _real_port(self, device: _LoopDevice, vport: int) -> int | None:
-        if device.spec.device_id in self._relays:
-            mapped = device.proxy_map.get(vport)
-            if mapped is not None:
-                return mapped
-        return device.port_map.get(vport)
-
     def connect(self, src: str, dst: str, port: int) -> LoopConnection | None:
-        device = self.devices.get(dst)
-        if device is None:
-            raise TransportError(f"unreachable target {dst!r}")
-        src_port = next(self._eph)
-        self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
-                  ttl=64, kind="probe", payload=b"")
-        real = self._real_port(device, port)
-        if real is None or not device.state.alive:
+        actor = self._target(dst)
+        src_port = next(self._eph_ports)
+        with self.lock:
+            self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
+                      ttl=64, kind="probe", payload=b"")
+        relay = self._relays.get(dst, {}).get(port)
+        real = relay.server_address[1] if relay else self._ports[dst].get(port)
+        if real is None or not actor.state.alive:
             return None
-        sock = socket.socket()
-        sock.settimeout(REQUEST_TIMEOUT_S)
-        try:
-            sock.connect(("127.0.0.1", real))
-            _send_frame(sock, b"BANNER")
-            banner_bytes = _recv_frame(sock)
-        except OSError:
-            sock.close()
+        opened = _open_port(real)
+        if opened is None:
             return None
-        if banner_bytes is None:
-            sock.close()
-            return None
-        banner = banner_bytes.decode("ascii", "replace")
-        self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
-                  ttl=64, kind="banner", payload=banner_bytes)
-        return LoopConnection(self, sock, src, src_port, dst, port, banner)
+        sock, banner = opened
+        with self.lock:
+            self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
+                      ttl=actor.ttl(), kind="banner", payload=banner)
+        return LoopConnection(self, sock, src, src_port, dst, port,
+                              banner.decode("ascii", "replace"))
 
     def scan_ports(self, src: str, dst: str,
                    ports: list[int] | range) -> list[tuple[int, str]]:
-        device = self.devices.get(dst)
-        if device is None:
-            raise TransportError(f"unreachable target {dst!r}")
+        actor = self._target(dst)
         found: list[tuple[int, str]] = []
-        src_port = next(self._eph)
+        src_port = next(self._eph_ports)
         for port in ports:
-            self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
-                      ttl=64, kind="probe", payload=b"")
-            real = device.port_map.get(port)
-            if real is None or not device.state.alive:
+            with self.lock:
+                self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
+                          ttl=64, kind="probe", payload=b"")
+            real = self._ports[dst].get(port)
+            if real is None or not actor.state.alive:
                 continue
-            sock = socket.socket()
-            sock.settimeout(REQUEST_TIMEOUT_S)
-            try:
-                sock.connect(("127.0.0.1", real))
-                _send_frame(sock, b"BANNER")
-                banner_bytes = _recv_frame(sock)
-            except OSError:
-                sock.close()
+            opened = _open_port(real)
+            if opened is None:
                 continue
+            sock, banner = opened
             sock.close()
-            if banner_bytes is None:
-                continue
-            banner = banner_bytes.decode("ascii", "replace")
-            self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
-                      ttl=64, kind="banner", payload=banner_bytes)
-            found.append((port, banner))
+            with self.lock:
+                self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
+                          ttl=actor.ttl(), kind="banner", payload=banner)
+            found.append((port, banner.decode("ascii", "replace")))
         return sorted(found)
 
     # -- proxy -----------------------------------------------------------
     def proxy(self, device_id: str, mutator: ProxyMutator) -> None:
-        device = self.devices.get(device_id)
-        if device is None:
-            raise TransportError(f"unknown device {device_id!r}")
-        if device_id in self._relays:
-            raise TransportError(f"device {device_id!r} already proxied")
-        relays = []
-        for vport, real in device.port_map.items():
-            relay = _Relay(real, mutator)
-            device.proxy_map[vport] = relay.server_address[1]
+        super().proxy(device_id, mutator)
+        relays = self._relays[device_id] = {}
+        for vport, real in self._ports[device_id].items():
+            relay = _Relay(self.lock, real, self._proxies[device_id])
+            relays[vport] = relay
             threading.Thread(target=relay.serve_forever, daemon=True).start()
-            relays.append(relay)
-        self._relays[device_id] = relays
 
     def unproxy(self, device_id: str) -> None:
-        for relay in self._relays.pop(device_id, []):
-            relay.shutdown()
-            relay.server_close()
-        device = self.devices.get(device_id)
-        if device is not None:
-            device.proxy_map.clear()
+        super().unproxy(device_id)
+        _stop_servers(list(self._relays.pop(device_id, {}).values()))
 
-    def is_proxied(self, device_id: str) -> bool:
-        return device_id in self._relays
-
-    # -- captures ---------------------------------------------------------
-    def start_capture(self, scope: set[str] | None = None) -> CaptureHandle:
-        if scope is not None and not scope:
-            raise TransportError("empty capture scope")
-        with self._emit_lock:
-            handle = CaptureHandle(next(self._capture_ids), scope,
-                                   len(self.tap))
-        self._captures[handle.handle_id] = handle
-        return handle
-
-    def stop_capture(self, handle: CaptureHandle) -> list[CaptureRecord]:
-        if handle.handle_id not in self._captures:
-            raise TransportError("unknown capture handle")
-        del self._captures[handle.handle_id]
-        handle.open = False
-        records = self.tap.since(handle.start_idx)
-        if handle.scope is None:
-            return records
-        return [r for r in records
-                if r.src_addr in handle.scope or r.dst_addr in handle.scope]
-
-    # -- telemetry --------------------------------------------------------
-    def sample_status(self, device_id: str, t0: float,
-                      t1: float) -> list[InternalStatusSample]:
-        device = self.devices.get(device_id)
-        if device is None:
-            raise TransportError(f"unknown device {device_id!r}")
-        if device.state.crashed:
-            raise TransportError(f"device {device_id!r} is dead")
-        with device.lock:
-            return [s for s in device.samples if t0 <= s.ts < t1]
-
-    def all_status(self) -> list[InternalStatusSample]:
-        merged: list[InternalStatusSample] = []
-        for device in self.devices.values():
-            with device.lock:
-                merged.extend(device.samples)
-        merged.sort(key=lambda s: (s.ts, s.device_id))
-        return merged
-
-    # -- shutdown ---------------------------------------------------------
     def shutdown(self) -> None:
+        self.clock.shutdown()
         for device_id in list(self._relays):
             self.unproxy(device_id)
-        for device in self.devices.values():
-            device.kill()
-        self.cloud.shutdown()
-        self.cloud.server_close()
-        for device in self.devices.values():
-            for server in device.servers:
-                server.server_close()
+        _stop_servers(self._servers)
+
+
+def _stop_servers(servers: list[socketserver.TCPServer]) -> None:
+    # serve_forever notices a shutdown only at its next poll, so stop every
+    # server at once rather than one poll interval apiece.
+    stoppers = [threading.Thread(target=s.shutdown) for s in servers]
+    for t in stoppers:
+        t.start()
+    for t in stoppers:
+        t.join()
+    for server in servers:
+        server.server_close()

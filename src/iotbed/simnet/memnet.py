@@ -1,21 +1,25 @@
-"""Deterministic in-memory network backend.
+"""Deterministic in-memory network backend, and the device model both
+backends share.
 
-Devices are event-driven actors on a shared virtual clock: background
-telemetry sessions, periodic status samples, context-triggered attack
-bursts and false-alarm bursts are all scheduled clock events, so a fixed
-seed and a fixed context script reproduce byte-identical captures.
+Devices are event-driven actors (_DeviceActor): background telemetry
+sessions, periodic status samples, context-triggered attack bursts and
+false-alarm bursts are all events on the network's clock.  The actor
+reaches time only through clock.now() and clock.schedule(delay, cb), so
+the same actor runs here on a VirtualClock and on the loopback backend's
+WallClock; the two backends differ only in clock and transport.
 
-Client-side operations (connect / request / scan) advance the clock
-themselves by the modeled round-trip latency, firing any background events
-that fall due in between.  Every record enters the tap through a single
-emit point that also increments the completeness counter.
+Here a fixed seed and a fixed context script reproduce byte-identical
+captures.  Client-side operations (connect / request / scan) advance the
+clock themselves by the modeled round-trip latency, firing any background
+events that fall due in between.  Every record enters the tap through a
+single emit point that also increments the completeness counter.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import TransportError
 from .capture import CaptureRecord, CaptureTap, classify_direction
@@ -92,14 +96,18 @@ class BurstWindow:
 
 
 class _DeviceActor:
-    def __init__(self, net: "MemoryNetwork", spec: DeviceSpec):
+    """One simulated device's behaviour, for either backend.
+
+    `net` provides seed, clock, feed, actors, emit() and proxy_for().
+    """
+
+    def __init__(self, net: "_Network", spec: DeviceSpec):
         self.net = net
         self.spec = spec
         self.state = DeviceState()
         self.rng = random.Random(f"{net.seed}/{spec.device_id}")
         self.engine = ServiceEngine(spec, self.state, self.rng)
         self.samples: list[InternalStatusSample] = []
-        self.crashed_at: float | None = None
         self.burst_windows: list[BurstWindow] = []
         self._in_trigger_window = False
         self._eph_ports = itertools.count(40000)
@@ -120,10 +128,6 @@ class _DeviceActor:
                 self.net.clock.schedule(delay, self._false_alarm_burst)
         if self.spec.compromise is not None:
             self.net.feed.subscribe(self._on_context)
-
-    def note_crash_if_needed(self) -> None:
-        if self.state.crashed and self.crashed_at is None:
-            self.crashed_at = self.net.clock.now()
 
     # -- background telemetry ------------------------------------------
     def _schedule_next_session(self, first: bool = False) -> None:
@@ -188,10 +192,10 @@ class _DeviceActor:
         if not self.state.alive:
             return
         self.net.emit(src=self.spec.device_id, src_port=src_port, dst=CLOUD,
-                      dst_port=dst_port, ttl=self._ttl(), kind=kind,
+                      dst_port=dst_port, ttl=self.ttl(), kind=kind,
                       payload=data)
 
-    def _ttl(self) -> int:
+    def ttl(self) -> int:
         return self.spec.traffic.ttl if self.spec.traffic else 64
 
     # -- status sampling -----------------------------------------------
@@ -239,14 +243,14 @@ class _DeviceActor:
                 return
             self.net.emit(src=self.spec.device_id,
                           src_port=next(self._eph_ports), dst=target,
-                          dst_port=port, ttl=self._ttl(), kind="attack_probe",
+                          dst_port=port, ttl=self.ttl(), kind="attack_probe",
                           payload=b"")
             peer = self.net.actors.get(target)
             if peer is not None and peer.state.alive and port in peer.spec.ports:
                 banner = peer.spec.ports[port].effective_banner()
                 self.net.emit(src=target, src_port=port,
                               dst=self.spec.device_id, dst_port=0,
-                              ttl=peer._ttl(), kind="banner",
+                              ttl=peer.ttl(), kind="banner",
                               payload=banner.encode("ascii"))
         return fire
 
@@ -323,7 +327,6 @@ class MemConnection:
                  dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
         net.clock.advance(RTT_S / 2)
         reply = actor.engine.handle(self.dst_port, data)
-        actor.note_crash_if_needed()
         if reply is None:
             net.clock.advance(RTT_S / 2)
             return None
@@ -337,7 +340,7 @@ class MemConnection:
         else:
             net.clock.advance(RTT_S / 2)
         net.emit(src=self.dst, src_port=self.dst_port, dst=self.src,
-                 dst_port=self.src_port, ttl=actor._ttl(), kind="response",
+                 dst_port=self.src_port, ttl=actor.ttl(), kind="response",
                  payload=reply)
         return reply
 
@@ -353,14 +356,16 @@ class CaptureHandle:
         self.open = True
 
 
-class MemoryNetwork:
-    """The default transport backend; see module docstring."""
+class _Network:
+    """Device fleet, tap and captures: what both backends share.
 
-    backend_name = "memory"
+    A backend supplies the clock the actors run on and the transport
+    operations: emit, observe, advance_context, connect and scan_ports.
+    """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int, clock):
         self.seed = seed
-        self.clock = VirtualClock()
+        self.clock = clock
         self.tap = CaptureTap()
         self.feed = ContextFeed()
         self.actors: dict[str, _DeviceActor] = {}
@@ -370,16 +375,6 @@ class MemoryNetwork:
         self._eph_ports = itertools.count(50000)
         self._capture_ids = itertools.count(1)
         self._captures: dict[int, CaptureHandle] = {}
-
-    # -- record emission (single choke point) ---------------------------
-    def emit(self, src: str, src_port: int, dst: str, dst_port: int,
-             ttl: int, kind: str, payload: bytes) -> None:
-        self.emitted += 1
-        self.tap.add(CaptureRecord.build(
-            seq=self.emitted, ts=self.clock.now(), src_addr=src,
-            src_port=src_port, dst_addr=dst, dst_port=dst_port, ttl=ttl,
-            kind=kind, direction=classify_direction(src, dst, self.dut_ids),
-            payload=payload))
 
     # -- device lifecycle -----------------------------------------------
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
@@ -394,79 +389,30 @@ class MemoryNetwork:
         actor.start()
         return DeviceHandle(actor)
 
-    def handle(self, device_id: str) -> DeviceHandle:
+    def _actor(self, device_id: str) -> _DeviceActor:
         actor = self.actors.get(device_id)
         if actor is None:
             raise TransportError(f"unknown device {device_id!r}")
-        return DeviceHandle(actor)
+        return actor
+
+    def _target(self, dst: str) -> _DeviceActor:
+        actor = self.actors.get(dst)
+        if actor is None:
+            raise TransportError(f"unreachable target {dst!r}")
+        return actor
+
+    def handle(self, device_id: str) -> DeviceHandle:
+        return DeviceHandle(self._actor(device_id))
 
     def stop_device(self, device_id: str) -> None:
-        actor = self.actors.get(device_id)
-        if actor is None:
-            raise TransportError(f"unknown device {device_id!r}")
-        actor.state.alive = False
+        self._actor(device_id).state.alive = False
 
-    # -- time ------------------------------------------------------------
     def now(self) -> float:
         return self.clock.now()
 
-    def observe(self, seconds: float) -> None:
-        """Let the simulation run for the given span of virtual time."""
-        self.clock.advance(seconds)
-
-    def advance_context(self, events: list[ContextEvent]) -> None:
-        if any(b.t < a.t for a, b in zip(events, events[1:])):
-            raise TransportError("context events not sorted")
-        for event in events:
-            if event.t < self.clock.now():
-                raise TransportError("context event in the past")
-            self.clock.advance(event.t - self.clock.now())
-            self.feed.publish(event)
-
-    # -- client operations ----------------------------------------------
-    def connect(self, src: str, dst: str, port: int) -> MemConnection | None:
-        """TCP-style connect; returns a connection with the banner, or None."""
-        actor = self.actors.get(dst)
-        if actor is None:
-            raise TransportError(f"unreachable target {dst!r}")
-        src_port = next(self._eph_ports)
-        self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
-                  ttl=64, kind="probe", payload=b"")
-        self.clock.advance(RTT_S / 2)
-        if not actor.state.alive or port not in actor.spec.ports:
-            self.clock.advance(RTT_S / 2)
-            return None
-        banner = actor.spec.ports[port].effective_banner()
-        self.clock.advance(RTT_S / 2)
-        self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
-                  ttl=actor._ttl(), kind="banner",
-                  payload=banner.encode("ascii"))
-        return MemConnection(self, src, src_port, dst, port, banner)
-
-    def scan_ports(self, src: str, dst: str,
-                   ports: list[int] | range) -> list[tuple[int, str]]:
-        """Probe every port once; returns (port, banner) for the open ones."""
-        actor = self.actors.get(dst)
-        if actor is None:
-            raise TransportError(f"unreachable target {dst!r}")
-        found: list[tuple[int, str]] = []
-        src_port = next(self._eph_ports)
-        for port in ports:
-            self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
-                      ttl=64, kind="probe", payload=b"")
-            if actor.state.alive and port in actor.spec.ports:
-                banner = actor.spec.ports[port].effective_banner()
-                self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
-                          ttl=actor._ttl(), kind="banner",
-                          payload=banner.encode("ascii"))
-                found.append((port, banner))
-            self.clock.advance(SCAN_STEP_S)
-        return sorted(found)
-
     # -- proxy -----------------------------------------------------------
     def proxy(self, device_id: str, mutator: ProxyMutator) -> None:
-        if device_id not in self.actors:
-            raise TransportError(f"unknown device {device_id!r}")
+        self._actor(device_id)
         if device_id in self._proxies:
             raise TransportError(f"device {device_id!r} already proxied")
         self._proxies[device_id] = _Proxy(mutator)
@@ -476,9 +422,6 @@ class MemoryNetwork:
 
     def proxy_for(self, device_id: str) -> _Proxy | None:
         return self._proxies.get(device_id)
-
-    def is_proxied(self, device_id: str) -> bool:
-        return device_id in self._proxies
 
     # -- captures ---------------------------------------------------------
     def start_capture(self, scope: set[str] | None = None) -> CaptureHandle:
@@ -499,26 +442,78 @@ class MemoryNetwork:
         return [r for r in records
                 if r.src_addr in handle.scope or r.dst_addr in handle.scope]
 
-    # -- telemetry --------------------------------------------------------
-    def sample_status(self, device_id: str, t0: float,
-                      t1: float) -> list[InternalStatusSample]:
-        actor = self.actors.get(device_id)
-        if actor is None:
-            raise TransportError(f"unknown device {device_id!r}")
-        if actor.crashed_at is not None and actor.crashed_at < t1:
-            raise TransportError(f"device {device_id!r} is dead")
-        return [s for s in actor.samples if t0 <= s.ts < t1]
-
-    def all_status(self) -> list[InternalStatusSample]:
-        merged: list[InternalStatusSample] = []
-        for actor in self.actors.values():
-            merged.extend(actor.samples)
-        merged.sort(key=lambda s: (s.ts, s.device_id))
-        return merged
-
     def burst_log(self) -> list[BurstWindow]:
         log: list[BurstWindow] = []
         for actor in self.actors.values():
             log.extend(actor.burst_windows)
         log.sort(key=lambda w: w.t_start)
         return log
+
+
+class MemoryNetwork(_Network):
+    """The default transport backend; see module docstring."""
+
+    backend_name = "memory"
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed, VirtualClock())
+
+    # -- record emission (single choke point) ---------------------------
+    def emit(self, src: str, src_port: int, dst: str, dst_port: int,
+             ttl: int, kind: str, payload: bytes) -> None:
+        self.emitted += 1
+        self.tap.add(CaptureRecord.build(
+            seq=self.emitted, ts=self.clock.now(), src_addr=src,
+            src_port=src_port, dst_addr=dst, dst_port=dst_port, ttl=ttl,
+            kind=kind, direction=classify_direction(src, dst, self.dut_ids),
+            payload=payload))
+
+    # -- time ------------------------------------------------------------
+    def observe(self, seconds: float) -> None:
+        """Let the simulation run for the given span of virtual time."""
+        self.clock.advance(seconds)
+
+    def advance_context(self, events: list[ContextEvent]) -> None:
+        if any(b.t < a.t for a, b in zip(events, events[1:])):
+            raise TransportError("context events not sorted")
+        for event in events:
+            if event.t < self.clock.now():
+                raise TransportError("context event in the past")
+            self.clock.advance(event.t - self.clock.now())
+            self.feed.publish(event)
+
+    # -- client operations ----------------------------------------------
+    def connect(self, src: str, dst: str, port: int) -> MemConnection | None:
+        """TCP-style connect; returns a connection with the banner, or None."""
+        actor = self._target(dst)
+        src_port = next(self._eph_ports)
+        self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
+                  ttl=64, kind="probe", payload=b"")
+        self.clock.advance(RTT_S / 2)
+        if not actor.state.alive or port not in actor.spec.ports:
+            self.clock.advance(RTT_S / 2)
+            return None
+        banner = actor.spec.ports[port].effective_banner()
+        self.clock.advance(RTT_S / 2)
+        self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
+                  ttl=actor.ttl(), kind="banner",
+                  payload=banner.encode("ascii"))
+        return MemConnection(self, src, src_port, dst, port, banner)
+
+    def scan_ports(self, src: str, dst: str,
+                   ports: list[int] | range) -> list[tuple[int, str]]:
+        """Probe every port once; returns (port, banner) for the open ones."""
+        actor = self._target(dst)
+        found: list[tuple[int, str]] = []
+        src_port = next(self._eph_ports)
+        for port in ports:
+            self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
+                      ttl=64, kind="probe", payload=b"")
+            if actor.state.alive and port in actor.spec.ports:
+                banner = actor.spec.ports[port].effective_banner()
+                self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
+                          ttl=actor.ttl(), kind="banner",
+                          payload=banner.encode("ascii"))
+                found.append((port, banner))
+            self.clock.advance(SCAN_STEP_S)
+        return sorted(found)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ..errors import AnalysisError
+
 
 @dataclass(frozen=True)
 class InternalStatusSample:
@@ -15,9 +17,12 @@ class InternalStatusSample:
     fs_events: int             # count since the previous sample
 
     def __post_init__(self):
-        assert 0.0 <= self.cpu_pct <= 100.0
-        assert self.mem_bytes >= 0
-        assert self.fs_events >= 0
+        if not 0.0 <= self.cpu_pct <= 100.0:
+            raise ValueError(f"cpu_pct {self.cpu_pct} outside 0..100")
+        if self.mem_bytes < 0:
+            raise ValueError(f"mem_bytes {self.mem_bytes} is negative")
+        if self.fs_events < 0:
+            raise ValueError(f"fs_events {self.fs_events} is negative")
 
 
 def synth_sample(monitor, rng: random.Random, ts: float, device_id: str,
@@ -43,15 +48,23 @@ def write_status(samples: list[InternalStatusSample], path: str) -> None:
 
 
 def read_status(path: str) -> list[InternalStatusSample]:
+    """Samples of a status file; AnalysisError with path:line if malformed."""
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            kv = dict(tok.split("=", 1) for tok in line.split())
-            samples.append(InternalStatusSample(
-                ts=float(kv["ts"]), device_id=kv["device"],
-                cpu_pct=float(kv["cpu_pct"]), mem_bytes=float(kv["mem_bytes"]),
-                fs_events=int(kv["fs_events"])))
+            try:
+                kv = dict(tok.split("=", 1) for tok in line.split())
+                samples.append(InternalStatusSample(
+                    ts=float(kv["ts"]), device_id=kv["device"],
+                    cpu_pct=float(kv["cpu_pct"]),
+                    mem_bytes=float(kv["mem_bytes"]),
+                    fs_events=int(kv["fs_events"])))
+            except KeyError as exc:
+                raise AnalysisError(
+                    f"{path}:{line_no}: missing field {exc}") from None
+            except ValueError as exc:
+                raise AnalysisError(f"{path}:{line_no}: {exc}") from None
     return samples

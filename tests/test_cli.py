@@ -6,6 +6,7 @@ import pytest
 
 from conftest import CAMERA_TEXT
 from iotbed.cli import build_parser, main
+from iotbed.profiler import Leaf, StatModel, save_model
 from iotbed.simnet import MemoryNetwork, write_capture
 from iotbed.simnet.devspec import parse_device_spec
 
@@ -58,6 +59,17 @@ def test_report_unknown_run_id(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+
+
+def test_report_truncated_record_is_an_input_error(tmp_path, capsys):
+    run_dir = tmp_path / "r1"
+    run_dir.mkdir()
+    (run_dir / "report.rec").write_text("run_id=r1\n")
+    code = main(["report", "r1", "--runs-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(run_dir / "report.rec") in err
+    assert "generated_at" in err
 
 
 def test_missing_scenario_file_is_an_error(tmp_path, capsys):
@@ -149,6 +161,19 @@ def test_profile_train_and_test_cycle(profile_layout, capsys):
     assert "profiled as: ip_camera" in out
     with open(record_path) as fh:
         assert "top=ip_camera" in fh.read()
+
+
+def test_profile_test_malformed_capture_is_an_input_error(tmp_path, capsys):
+    model_path = str(tmp_path / "model.prof")
+    save_model(StatModel(Leaf({"ip_camera": 1.0}, 1), ("ip_camera",), 10),
+               model_path)
+    bad = tmp_path / "bad.cap"
+    bad.write_text("\nseq=1 ts=0.1 src_addr=a\n")
+    code = main(["profile", "test", "--model", model_path,
+                 "--capture", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:2: missing field 'payload_marker'" in err
 
 
 def test_profile_train_with_empty_labels(profile_layout, capsys):

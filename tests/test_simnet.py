@@ -4,10 +4,13 @@ virtual transport, loopback transport."""
 import collections
 import math
 import random
+import sys
+import threading
 
 import pytest
 
-from iotbed.errors import ScenarioError, TransportError, ValidationError
+from iotbed.errors import (AnalysisError, ScenarioError, TransportError,
+                           ValidationError)
 from iotbed.simnet.clock import VirtualClock
 from iotbed.simnet.context import (
     ContextEvent,
@@ -28,6 +31,8 @@ from iotbed.simnet.payload import (
     shannon_entropy,
 )
 from iotbed.simnet.services import DeviceState, ServiceEngine
+from iotbed.simnet.status import (InternalStatusSample, read_status,
+                                  write_status)
 
 from conftest import CAMERA_TEXT, FLEET_TEXT
 
@@ -453,6 +458,27 @@ def test_status_samples_cover_observed_interval(camera_net):
     assert all(0 <= s.cpu_pct <= 100 for s in samples)
 
 
+def test_status_sample_range_checked_without_asserts():
+    # A ValueError, not an assert, so the check holds under python -O too.
+    with pytest.raises(ValueError, match="cpu_pct"):
+        InternalStatusSample(ts=0.0, device_id="d", cpu_pct=150.0,
+                             mem_bytes=0.0, fs_events=0)
+    with pytest.raises(ValueError, match="fs_events"):
+        InternalStatusSample(ts=0.0, device_id="d", cpu_pct=1.0,
+                             mem_bytes=0.0, fs_events=-1)
+
+
+def test_read_status_reports_path_and_line(camera_net, tmp_path):
+    camera_net.observe(3)
+    path = str(tmp_path / "status.rec")
+    write_status(camera_net.handle("cam1").all_samples(), path)
+    assert len(read_status(path)) == 3
+    with open(path, "a") as fh:
+        fh.write("ts=9.0 device=cam1 cpu_pct=150 mem_bytes=0 fs_events=0\n")
+    with pytest.raises(AnalysisError, match=r"status\.rec:4: cpu_pct"):
+        read_status(path)
+
+
 def test_context_trigger_fires_probe_burst():
     spec = parse_device_spec(FLEET_TEXT)
     net = MemoryNetwork(seed=3)
@@ -499,3 +525,109 @@ def test_loopback_roundtrip(camera_spec):
         assert net.emitted == len(net.tap)
     finally:
         net.shutdown()
+
+
+# Both backends run one device model, so everything that does not depend on
+# the clock must agree.  Neither TTL is 64, so a backend that stamps a fixed
+# TTL instead of the device's own shows up.
+CONFORMANCE_TEXT = """\
+device: cam9 type=ip_camera connectivity=wifi
+port: 23 service=telnet banner="BusyBox v1.19 telnetd" default_creds=root:root
+port: 80 service=http banner="lighttpd 1.4.35"
+traffic: session_rate=6 ttl=128
+compromise: lat=32.0853 lon=34.7818 radius_m=150 ports=22,80 interval_ms=20 targets=hub9
+false_alarm: at_s=0.2 packets=3 gap_ms=10
+
+device: hub9 type=hub connectivity=ethernet
+port: 80 service=http banner="hub web ui"
+traffic: session_rate=0 ttl=255
+"""
+
+
+def _conformance_facts(net):
+    """Clock-independent facts of one short scenario on `net`."""
+    try:
+        for i, spec in enumerate(parse_device_spec(CONFORMANCE_TEXT)):
+            net.spawn_device(spec, dut=(i == 0))
+        kinds = []
+
+        def op(fn):
+            start = len(net.tap)
+            result = fn()
+            # background and noise follow the clock, not the operation
+            kinds.append([r.kind for r in net.tap.records[start:]
+                          if r.kind not in ("background", "noise")])
+            return result
+
+        def context_then_observe():
+            net.advance_context([ContextEvent(t=0.1, lat=32.0853,
+                                              lon=34.7818, day=Day.MONDAY)])
+            net.observe(0.5)
+
+        found = op(lambda: net.scan_ports("tester", "cam9", [22, 23, 80, 443]))
+        conn = op(lambda: net.connect("tester", "cam9", 23))
+        reply = op(lambda: conn.request(b"LOGIN root root"))
+        conn.close()
+        op(context_then_observe)
+        records = net.tap.records
+        return {
+            "ports": found,
+            "kinds": kinds,
+            "login": reply.partition(b"=")[0],
+            "probes": [w.probes for w in net.burst_log()],
+            "noise": sum(r.kind == "noise" for r in records),
+            "ttls": sorted({(r.src_addr, r.ttl) for r in records
+                            if r.src_addr in ("cam9", "hub9")}),
+        }
+    finally:
+        if hasattr(net, "shutdown"):
+            net.shutdown()
+
+
+def test_backends_simulate_the_same_device():
+    memory = _conformance_facts(MemoryNetwork(seed=5))
+    assert memory["ports"] == [(23, "BusyBox v1.19 telnetd"),
+                               (80, "lighttpd 1.4.35")]
+    assert memory["login"] == b"OK token"
+    assert memory["probes"] == [2]
+    assert memory["noise"] == 3
+    assert memory["ttls"] == [("cam9", 128), ("hub9", 255)]
+    assert _conformance_facts(LoopbackNetwork(seed=5)) == memory
+
+
+BUSY_TEXT = """\
+device: busy1 type=sensor connectivity=wifi
+port: 443 service=https
+traffic: session_rate=6000 gap_ms=1 gap_stddev_ms=0
+monitor: period_s=0.01
+"""
+
+
+def test_loopback_records_stay_consistent_under_concurrency():
+    # Clock callbacks, port handlers and several clients all emit at once;
+    # a lost update under the shared lock would repeat or skip a seq.
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    net = LoopbackNetwork(seed=5)
+    try:
+        net.spawn_device(parse_device_spec(BUSY_TEXT)[0])
+
+        def client():
+            conn = net.connect("tester", "busy1", 443)
+            for _ in range(20):
+                conn.request(b"CMD status")
+            conn.close()
+
+        clients = [threading.Thread(target=client) for _ in range(6)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in clients)
+    finally:
+        net.shutdown()
+        sys.setswitchinterval(old_interval)
+    records = net.tap.records
+    assert {r.kind for r in records} >= {"background", "response"}
+    assert [r.seq for r in records] == list(range(1, len(records) + 1))
+    assert net.emitted == len(records)
