@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from statistics import fmean, pstdev
 
 from .errors import AnalysisError
+from .records import dumps, load
 
 CHANNELS = ("network", "cpu", "memory", "filesystem")
 
@@ -243,40 +244,35 @@ def analyze_run(capture, status_series, context_log,
 # ---------------------------------------------------------------------------
 
 def write_findings(findings: list[AttackFinding], path: str) -> None:
-    lines = [f"findings={len(findings)}"]
+    pairs = [("findings", len(findings))]
     for i, f in enumerate(findings):
         p = f"finding.{i}"
-        lines.append(f"{p}.classification={f.classification}")
-        lines.append(f"{p}.corroboration={f.corroboration}")
-        lines.append(f"{p}.time={f.virtual_time!r}")
-        if f.location is None:
-            lines.append(f"{p}.location=-")
-        else:
-            lines.append(f"{p}.location={f.location[0]!r},{f.location[1]!r}")
-        lines.append(f"{p}.windows=" + ";".join(
-            f"{a!r}:{b!r}" for a, b in f.windows))
-        lines.append(f"{p}.note={f.note}")
+        location = "-" if f.location is None else \
+            f"{f.location[0]!r},{f.location[1]!r}"
+        pairs += [(f"{p}.classification", f.classification),
+                  (f"{p}.corroboration", f.corroboration),
+                  (f"{p}.time", repr(f.virtual_time)),
+                  (f"{p}.location", location),
+                  (f"{p}.windows",
+                   ";".join(f"{a!r}:{b!r}" for a, b in f.windows)),
+                  (f"{p}.note", f.note)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dumps(pairs))
 
 
-def read_findings(path: str) -> list[AttackFinding]:
-    fields: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                key, _, value = line.partition("=")
-                fields[key] = value
+def _float_pair(text: str, sep: str) -> tuple[float, float]:
+    a, b = text.split(sep)
+    return float(a), float(b)
+
+
+def _findings(fields) -> list[AttackFinding]:
     findings = []
-    for i in range(int(fields.get("findings", "0"))):
+    for i in range(int(fields["findings"])):
         p = f"finding.{i}"
         loc_text = fields[f"{p}.location"]
-        location = None if loc_text == "-" else \
-            tuple(float(x) for x in loc_text.split(","))
-        windows = tuple(
-            tuple(float(x) for x in part.split(":"))
-            for part in fields[f"{p}.windows"].split(";") if part)
+        location = None if loc_text == "-" else _float_pair(loc_text, ",")
+        windows = tuple(_float_pair(part, ":")
+                        for part in fields[f"{p}.windows"].split(";") if part)
         findings.append(AttackFinding(
             windows, location, float(fields[f"{p}.time"]),
             fields[f"{p}.corroboration"], fields[f"{p}.classification"],
@@ -284,13 +280,18 @@ def read_findings(path: str) -> list[AttackFinding]:
     return findings
 
 
+def read_findings(path: str) -> list[AttackFinding]:
+    """Findings of findings.rec; AnalysisError with path:line if malformed."""
+    return load(path, _findings)
+
+
 def write_window_stats(series: list[dict[str, float]], t_begin: float,
                        window_s: float, path: str) -> None:
     """Window-by-window statistics for manual exploration of a run."""
-    lines = [f"windows={len(series)}", f"window_s={window_s!r}",
-             f"t_begin={t_begin!r}"]
+    pairs = [("windows", len(series)), ("window_s", repr(window_s)),
+             ("t_begin", repr(t_begin))]
     for i, window in enumerate(series):
-        for channel in CHANNELS:
-            lines.append(f"window.{i}.{channel}={window[channel]!r}")
+        pairs += [(f"window.{i}.{channel}", repr(window[channel]))
+                  for channel in CHANNELS]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dumps(pairs))

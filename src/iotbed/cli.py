@@ -14,17 +14,19 @@ import os
 import sys
 
 from .config import CliConfig, load_config
-from .errors import AnalysisError, TestbedError
+from .errors import TestbedError
 from .model import ElementKind
 from .orchestrator import (RunOptions, builtin_descriptors, device_descriptor,
-                           read_report_fields, render_report, run_scenario)
+                           render_report, run_scenario)
 from .profiler import (TrainParams, confusion_matrix, extract_features,
                        load_model, profile_device, render_confusion,
                        render_profile_record, render_profile_table,
                        save_model, train_model)
+from .records import load
 from .scenario import load_scenario
-from .sectests import (Grade, grade_severity, human_grade, load_attack_db,
-                       load_score_list, load_vuln_db, score_ports)
+from .sectests import (Grade, format_score, grade_severity, human_grade,
+                       load_attack_db, load_score_list, load_vuln_db,
+                       parse_ports, score_ports)
 from .simnet import (LoopbackNetwork, MemoryNetwork, load_device_spec,
                      read_capture)
 
@@ -46,6 +48,10 @@ file formats:
   capture (.cap)      one record per line, k=v pairs (seq, ts, addresses,
                       ports, proto, ttl, size, entropy, marker, direction)
   labels file         <capture-filename>=<device_type> per line
+  profile model       header, classes:, features:, params:, counts:, tree:,
+                      then one "N feature threshold gain size" or
+                      "L size class:prob,..." line per node in preorder
+  config file         key=value lines (see README); # starts a comment line
   report (.rec/.txt)  machine k=v record and its pure text rendering
 """
 
@@ -71,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="port-scan a device and score it")
     p_scan.add_argument("target", help="device spec file")
     p_scan.add_argument("--device", help="device id within the file")
-    p_scan.add_argument("--ports", default="1-65535",
+    p_scan.add_argument("--ports", default="1-65535", type=parse_ports,
                         help="range lo-hi or comma list")
     p_scan.add_argument("--score-list", help="custom score list csv")
 
@@ -138,13 +144,6 @@ def cmd_run(args, config: CliConfig) -> int:
     return report.exit_code()
 
 
-def _parse_ports_flag(text: str):
-    if "-" in text:
-        lo, _, hi = text.partition("-")
-        return range(int(lo), int(hi) + 1)
-    return [int(p) for p in text.split(",") if p]
-
-
 def cmd_scan(args, config: CliConfig) -> int:
     specs = load_device_spec(args.target)
     if args.device:
@@ -163,8 +162,7 @@ def cmd_scan(args, config: CliConfig) -> int:
         LoopbackNetwork(seed=seed)
     try:
         net.spawn_device(spec)
-        found = net.scan_ports("scanner", spec.device_id,
-                               _parse_ports_flag(args.ports))
+        found = net.scan_ports("scanner", spec.device_id, args.ports)
     finally:
         shutdown = getattr(net, "shutdown", None)
         if shutdown:
@@ -174,17 +172,13 @@ def cmd_scan(args, config: CliConfig) -> int:
     print(f"  Open ports: "
           f"{','.join(str(p) for p in assessment.open_ports) or '-'}")
     for entry in assessment.scored:
-        score = int(entry.score) if entry.score == int(entry.score) \
-            else entry.score
-        print(f"    {entry.port:>6}  {entry.description} with Score: {score}")
+        print(f"    {entry.port:>6}  {entry.description} "
+              f"with Score: {format_score(entry.score)}")
     if assessment.unscored:
         print("  Unscored ports: "
               + ",".join(str(p) for p in assessment.unscored))
     print("Metric Score")
-    total = int(assessment.total_score) \
-        if assessment.total_score == int(assessment.total_score) \
-        else assessment.total_score
-    print(f"  Total: {total}")
+    print(f"  Total: {format_score(assessment.total_score)}")
     print(f"  Risk Level: {human_grade(assessment.risk_level)}")
     if grade_severity(assessment.risk_level) >= \
             grade_severity(Grade.MODERATE_RISK):
@@ -192,15 +186,18 @@ def cmd_scan(args, config: CliConfig) -> int:
     return 0
 
 
-def _read_labels(path: str) -> dict[str, str]:
+def _labels(fields) -> dict[str, str]:
     labels = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, label = line.partition("=")
-            labels[name.strip()] = label.strip()
+    for name in fields:
+        label = fields[name].strip()
+        if not label:
+            raise ValueError(f"empty label for {name.strip()!r}")
+        labels[name.strip()] = label
+    return labels
+
+
+def _read_labels(path: str) -> dict[str, str]:
+    labels = load(path, _labels)
     if not labels:
         raise TestbedError(f"{path}: no labels")
     return labels
@@ -272,13 +269,7 @@ def cmd_report(args, config: CliConfig) -> int:
     if not os.path.exists(rec_path):
         raise TestbedError(f"unknown run id {args.run_id!r} "
                            f"(no {rec_path})")
-    try:
-        text = render_report(read_report_fields(rec_path))
-    except KeyError as exc:
-        raise AnalysisError(f"{rec_path}: missing field {exc}") from None
-    except ValueError as exc:
-        raise AnalysisError(f"{rec_path}: {exc}") from None
-    sys.stdout.write(text)
+    sys.stdout.write(load(rec_path, render_report))
     return 0
 
 

@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
+from .records import load
 
 ENV_CONFIG = "IOTBED_CONFIG"
 
@@ -38,26 +39,23 @@ class CliConfig:
                 raise ValidationError(f"{name} {path!r} does not exist")
 
 
-def parse_config(text: str) -> CliConfig:
-    known = {f.name: f.type for f in fields(CliConfig)}
-    values = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"config line {line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+def parse_config(values) -> CliConfig:
+    """A validated CliConfig from the key=value pairs of a config file.
+
+    Keys and values are stripped.  An unknown key, or a default_k or
+    default_window_s that is not a number, raises ValueError, which
+    records.load reports at its line.
+    """
+    known = {f.name for f in fields(CliConfig)}
+    parsed = {}
+    for raw_key in values:
+        value = values[raw_key].strip()
+        key = raw_key.strip()
         if key not in known:
-            raise ValidationError(f"config line {line_no}: unknown key "
-                                  f"{key!r}")
-        if key in ("default_k", "default_window_s"):
-            values[key] = float(value)
-        else:
-            values[key] = value
-    config = CliConfig(**values)
+            raise ValueError(f"unknown key {key!r}")
+        parsed[key] = float(value) if key in ("default_k",
+                                              "default_window_s") else value
+    config = CliConfig(**parsed)
     config.validate()
     return config
 
@@ -67,5 +65,4 @@ def load_config(path: str | None = None) -> CliConfig:
     path = path or os.environ.get(ENV_CONFIG)
     if not path:
         return CliConfig()
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return load(path, parse_config)

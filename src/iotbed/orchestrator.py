@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .analysis import (DEFAULT_K, DEFAULT_WINDOW_S, AttackFinding,
@@ -29,12 +30,15 @@ from .errors import (CriteriaError, ScenarioError, TestbedError,
                      ValidationError)
 from .model import (USER, Action, Command, ElementDescriptor, ElementKind,
                     ParamSchema, Phase, Scenario, Test)
-from .profiler import ProfileDistribution, load_model, profile_device
+from .profiler import (ProfileDistribution, load_model, profile_device,
+                       profile_pairs)
+from .records import dumps, load
 from .registry import ElementRegistry
 from .sectests import (CLEAN_GRADES, FAILED_GRADES, PLUGINS, Grade,
                        PluginContext, RawResult, Verdict, grade_severity,
-                       highest_risk, human_grade, judge, load_attack_db,
-                       load_score_list, load_vuln_db, score_ports)
+                       format_score, highest_risk, human_grade, judge,
+                       load_attack_db, load_score_list, load_vuln_db,
+                       score_ports)
 from .simnet import (LoopbackNetwork, MemoryNetwork, load_device_spec,
                      load_trajectory, write_capture, write_status)
 from .trace import TraceLog
@@ -530,10 +534,6 @@ def run_scenario(scenario: Scenario, base_dir: str = ".",
 # pure rendering of it
 # ---------------------------------------------------------------------------
 
-def _fmt_score(x: float) -> str:
-    return str(int(x)) if x == int(x) else str(x)
-
-
 def report_fields(report: RunReport) -> list[tuple[str, str]]:
     """The machine-readable report, one (key, value) per line, in order."""
     f: list[tuple[str, str]] = [
@@ -563,15 +563,9 @@ def report_fields(report: RunReport) -> list[tuple[str, str]]:
         if report.profiling_note:
             f.append(("profiling.note", report.profiling_note))
     else:
-        p = report.profiling
         f.append(("profiling.present", "yes"))
-        f.append(("profiling.sequences", str(p.n_sequences)))
-        for cls in sorted(p.per_class):
-            f.append((f"profiling.class.{cls}", f"{p.per_class[cls]:.6f}"))
-        for cls in sorted(p.raw_sums):
-            f.append((f"profiling.raw.{cls}", f"{p.raw_sums[cls]:.6f}"))
-        f.append(("profiling.top", p.top_class))
-        f.append(("profiling.confidence", f"{p.top_confidence:.6f}"))
+        f += [(f"profiling.{key}", value)
+              for key, value in profile_pairs(report.profiling)[1:]]
     f.append(("findings.count", str(len(report.findings))))
     for i, finding in enumerate(report.findings):
         p = f"finding.{i}"
@@ -590,8 +584,8 @@ def report_fields(report: RunReport) -> list[tuple[str, str]]:
         f.append((f"{p}.open", ",".join(str(n) for n in scan["open"])))
         for entry in scan["scored"]:
             f.append((f"{p}.entry.{entry.port}",
-                      f"{_fmt_score(entry.score)}|{entry.description}"))
-        f.append((f"{p}.total", _fmt_score(scan["total"])))
+                      f"{format_score(entry.score)}|{entry.description}"))
+        f.append((f"{p}.total", format_score(scan["total"])))
         f.append((f"{p}.level", scan["level"]))
     f.append(("overall.pass", str(report.overall["pass_count"])))
     f.append(("overall.fail", str(report.overall["fail_count"])))
@@ -600,19 +594,17 @@ def report_fields(report: RunReport) -> list[tuple[str, str]]:
 
 
 def read_report_fields(path: str) -> list[tuple[str, str]]:
-    fields = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                key, _, value = line.partition("=")
-                fields.append((key, value))
-    return fields
+    """The (key, value) pairs of a k=v record file such as report.rec."""
+    return load(path, lambda fields: list(fields.items()))
 
 
 def render_report(fields: list[tuple[str, str]]) -> str:
-    """Human-readable report, a pure function of the report.rec fields."""
-    d = dict(fields)
+    """Human-readable report, a pure function of the report.rec fields.
+
+    fields are (key, value) pairs, or a mapping such as the records.Fields
+    that records.load passes, which places a bad value at its line.
+    """
+    d = fields if isinstance(fields, Mapping) else dict(fields)
     bar = "=" * 62
     out = [bar, " IoT Security Test Report", bar,
            f"Run:          {d['run_id']}",
@@ -653,7 +645,7 @@ def render_report(fields: list[tuple[str, str]]) -> str:
         out.append(f"  profiling: {d['profiling.top']} "
                    f"({float(d['profiling.confidence']) * 100:.2f}% over "
                    f"{d['profiling.sequences']} sequences)")
-        for key, value in fields:
+        for key, value in d.items():
             if key.startswith("profiling.class."):
                 cls = key.rsplit(".", 1)[1]
                 out.append(f"      {cls:<24} {float(value) * 100:6.2f}%")
@@ -665,7 +657,7 @@ def render_report(fields: list[tuple[str, str]]) -> str:
         p = f"portscan.{i}"
         out.append(f"Overall Results ({d[f'{p}.test']})")
         out.append(f"  Open ports: {d[f'{p}.open'] or '-'}")
-        for key, value in fields:
+        for key, value in d.items():
             if key.startswith(f"{p}.entry."):
                 port = key.rsplit(".", 1)[1]
                 score, _, description = value.partition("|")
@@ -688,8 +680,7 @@ def write_report(report: RunReport, run_dir: str) -> None:
     fields = report_fields(report)
     with open(os.path.join(run_dir, "report.rec"), "w",
               encoding="utf-8") as fh:
-        for key, value in fields:
-            fh.write(f"{key}={value}\n")
+        fh.write(dumps(fields))
     with open(os.path.join(run_dir, "report.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(render_report(fields))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AnalysisError
+from ..records import dumps
 from .features import extract_features
 from .tree import StatModel, classify_sequence, predict_class
 
@@ -91,17 +92,22 @@ def render_profile_table(profile: ProfileDistribution) -> str:
     return "\n".join(lines)
 
 
+def profile_pairs(profile: ProfileDistribution) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a profile record; report.rec carries the
+    same pairs, bar the device, under a profiling. prefix."""
+    return ([("device", profile.device_id),
+             ("sequences", str(profile.n_sequences))]
+            + [(f"class.{cls}", f"{profile.per_class[cls]:.6f}")
+               for cls in sorted(profile.per_class)]
+            + [(f"raw.{cls}", f"{profile.raw_sums[cls]:.6f}")
+               for cls in sorted(profile.raw_sums)]
+            + [("top", profile.top_class),
+               ("confidence", f"{profile.top_confidence:.6f}")])
+
+
 def render_profile_record(profile: ProfileDistribution) -> str:
     """Machine-readable k=v twin of the text table."""
-    lines = [f"device={profile.device_id}",
-             f"sequences={profile.n_sequences}"]
-    for cls in sorted(profile.per_class):
-        lines.append(f"class.{cls}={profile.per_class[cls]:.6f}")
-    for cls in sorted(profile.raw_sums):
-        lines.append(f"raw.{cls}={profile.raw_sums[cls]:.6f}")
-    lines.append(f"top={profile.top_class}")
-    lines.append(f"confidence={profile.top_confidence:.6f}")
-    return "\n".join(lines) + "\n"
+    return dumps(profile_pairs(profile))
 
 
 def render_confusion(matrix: dict[str, dict[str, int]]) -> str:

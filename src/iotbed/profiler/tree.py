@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from math import log2
 
 from ..errors import AnalysisError
+from ..records import Source
 
 MODEL_HEADER = "iotbed-profile-model v1"
 
@@ -211,8 +212,17 @@ def save_model(model: StatModel, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_node(it):
-    line = next(it)
+def _header(lines, key: str) -> str:
+    name, _, value = next(lines, "").partition(":")
+    if name != key:
+        raise ValueError(f"expected the {key}: line")
+    return value.strip()
+
+
+def _read_node(lines, classes: tuple[str, ...], n_features: int):
+    line = next(lines, None)
+    if line is None:
+        raise ValueError("tree ends early")
     kind, _, rest = line.partition(" ")
     if kind == "L":
         size_text, _, dist_text = rest.partition(" ")
@@ -220,38 +230,39 @@ def _read_node(it):
         for part in dist_text.split(","):
             cls, _, prob = part.rpartition(":")
             dist[cls] = float(prob)
+        if sorted(dist) != sorted(classes):
+            raise ValueError(f"leaf classes {sorted(dist)} are not the "
+                             f"model's classes {sorted(classes)}")
         return Leaf(dist, int(size_text))
     if kind == "N":
         feature, threshold, gain, size = rest.split()
-        left = _read_node(it)
-        right = _read_node(it)
+        if not 0 <= int(feature) < n_features:
+            raise ValueError(f"feature {feature} outside 0..{n_features - 1}")
+        left = _read_node(lines, classes, n_features)
+        right = _read_node(lines, classes, n_features)
         return Node(int(feature), float(threshold), float(gain),
                     int(size), left, right)
-    raise AnalysisError(f"bad model line: {line!r}")
+    raise ValueError(f"bad model line: {line!r}")
 
 
 def load_model(path: str) -> StatModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != MODEL_HEADER:
-        raise AnalysisError(f"{path}: not a profile model file")
-    header = {}
-    idx = 1
-    while idx < len(lines) and lines[idx] != "tree:":
-        key, _, value = lines[idx].partition(": ")
-        header[key] = value
-        idx += 1
-    if idx == len(lines):
-        raise AnalysisError(f"{path}: missing tree section")
-    classes = tuple(header.get("classes", "").split(","))
-    kv = dict(part.split("=") for part in header.get("params", "").split())
-    params = TrainParams(max_depth=int(kv.get("max_depth", 12)),
-                         min_leaf=int(kv.get("min_leaf", 5)))
-    counts = {}
-    if header.get("counts"):
-        for part in header["counts"].split(","):
+    """A model save_model wrote; AnalysisError with path:line if malformed."""
+    source = Source(path)
+    lines = (text.rstrip("\n") for text in source)
+    with source.parsing():
+        if next(lines, None) != MODEL_HEADER:
+            raise ValueError("not a profile model file")
+        classes = tuple(_header(lines, "classes").split(","))
+        n_features = int(_header(lines, "features"))
+        kv = dict(part.split("=") for part in _header(lines, "params").split())
+        params = TrainParams(int(kv["max_depth"]), int(kv["min_leaf"]))
+        counts = {}
+        for part in filter(None, _header(lines, "counts").split(",")):
             cls, _, n = part.rpartition(":")
             counts[cls] = int(n)
-    tree = _read_node(iter(lines[idx + 1:]))
-    return StatModel(tree, classes, int(header.get("features", 10)),
-                     params, counts)
+        if next(lines, None) != "tree:":
+            raise ValueError("expected the tree: line")
+        tree = _read_node(lines, classes, n_features)
+        if next(lines, None) is not None:
+            raise ValueError("more lines after the tree")
+    return StatModel(tree, classes, n_features, params, counts)

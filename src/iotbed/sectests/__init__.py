@@ -3,7 +3,8 @@
 from .verdict import (CLEAN_GRADES, FAILED_GRADES, Grade, Verdict,
                       grade_severity, highest_risk, human_grade)
 from .portrisk import (DEFAULT_SCORE_LIST, PortScoreEntry, RiskAssessment,
-                       load_score_list, risk_level, score_ports)
+                       format_score, load_score_list, parse_ports,
+                       risk_level, score_ports)
 from .vulndb import (AttackProbe, VulnRecord, load_attack_db, load_vuln_db,
                      match_vulnerabilities)
 from .plugins import PLUGINS, PluginContext, RawResult, judge, measure
@@ -12,7 +13,8 @@ __all__ = [
     "CLEAN_GRADES", "FAILED_GRADES", "Grade", "Verdict",
     "grade_severity", "highest_risk", "human_grade",
     "DEFAULT_SCORE_LIST", "PortScoreEntry", "RiskAssessment",
-    "load_score_list", "risk_level", "score_ports",
+    "format_score", "load_score_list", "parse_ports", "risk_level",
+    "score_ports",
     "AttackProbe", "VulnRecord", "load_attack_db", "load_vuln_db",
     "match_vulnerabilities",
     "PLUGINS", "PluginContext", "RawResult", "judge", "measure",

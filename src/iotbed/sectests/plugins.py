@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import AnalysisError, TransportError
-from .portrisk import PortScoreEntry, score_ports
+from .portrisk import (PortScoreEntry, format_score, parse_ports,
+                       score_ports)
 from .verdict import Grade, Verdict
 from .vulndb import AttackProbe, VulnRecord, match_vulnerabilities
 
@@ -48,20 +49,6 @@ class PluginContext:
         return f"n{self.rng.randrange(10 ** 9)}"
 
 
-def _parse_ports(value) -> list[int] | range:
-    if value is None:
-        return range(1, 65536)
-    if isinstance(value, range):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [int(p) for p in value]
-    text = str(value)
-    if "-" in text:
-        lo, _, hi = text.partition("-")
-        return range(int(lo), int(hi) + 1)
-    return [int(p) for p in text.split(",") if p]
-
-
 def _pick_port(spec, prefer: tuple[str, ...] = ()) -> int | None:
     ports = spec.open_ports()
     if not ports:
@@ -78,7 +65,7 @@ def _pick_port(spec, prefer: tuple[str, ...] = ()) -> int | None:
 # ---------------------------------------------------------------------------
 
 def measure_port_risk(ctx: PluginContext) -> RawResult:
-    ports = _parse_ports(ctx.criteria.get("ports"))
+    ports = parse_ports(ctx.criteria.get("ports"))
     found = ctx.net.scan_ports(ctx.initiator, ctx.device_id, ports)
     return RawResult("port_risk", {"open_ports": [p for p, _ in found]})
 
@@ -86,19 +73,15 @@ def measure_port_risk(ctx: PluginContext) -> RawResult:
 def judge_port_risk(raw: RawResult, criteria: dict) -> Verdict:
     assessment = score_ports(raw.data["open_ports"],
                              criteria.get("score_list"))
-    parts = [f"{e.port}: {e.description} with Score: {_fmt(e.score)}"
+    parts = [f"{e.port}: {e.description} with Score: {format_score(e.score)}"
              for e in assessment.scored]
     detail = (f"open ports {list(assessment.open_ports)}; "
-              f"total score {_fmt(assessment.total_score)}")
+              f"total score {format_score(assessment.total_score)}")
     if parts:
         detail += "; " + "; ".join(parts)
     if assessment.unscored:
         detail += f"; unscored ports {list(assessment.unscored)}"
     return Verdict("port_risk", assessment.risk_level, detail)
-
-
-def _fmt(x: float) -> str:
-    return str(int(x)) if x == int(x) else str(x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ every possible total.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from ..errors import AnalysisError
 from .verdict import Grade
+from .vulndb import _read_csv
 
 
 @dataclass(frozen=True)
@@ -35,27 +34,39 @@ DEFAULT_SCORE_LIST: dict[int, PortScoreEntry] = {
 
 
 def load_score_list(path: str) -> dict[int, PortScoreEntry]:
+    """Score list CSV; AnalysisError with path:line on a bad row."""
     entries: dict[int, PortScoreEntry] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 3:
-                raise AnalysisError(
-                    f"score list line {row_no}: expected port,description,score")
-            try:
-                port = int(row[0])
-                score = float(row[2])
-            except ValueError as exc:
-                raise AnalysisError(f"score list line {row_no}: {exc}") from exc
-            if score < 0:
-                raise AnalysisError(
-                    f"score list line {row_no}: negative score")
-            if port in entries:
-                raise AnalysisError(
-                    f"score list line {row_no}: duplicate port {port}")
-            entries[port] = PortScoreEntry(port, row[1].strip(), score)
+
+    def add(row: list[str]) -> None:
+        port, score = int(row[0]), float(row[2])
+        if score < 0:
+            raise ValueError("negative score")
+        if port in entries:
+            raise ValueError(f"duplicate port {port}")
+        entries[port] = PortScoreEntry(port, row[1], score)
+
+    _read_csv(path, 3, add)
     return entries
+
+
+def parse_ports(value) -> list[int] | range:
+    """Ports to scan from a "lo-hi" range or a comma list; None is all."""
+    if value is None:
+        return range(1, 65536)
+    if isinstance(value, range):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [int(p) for p in value]
+    text = str(value)
+    if "-" in text:
+        lo, _, hi = text.partition("-")
+        return range(int(lo), int(hi) + 1)
+    return [int(p) for p in text.split(",") if p]
+
+
+def format_score(x: float) -> str:
+    """A score as printed everywhere: whole numbers without a decimal point."""
+    return str(int(x)) if x == int(x) else str(x)
 
 
 def risk_level(total: float) -> Grade:

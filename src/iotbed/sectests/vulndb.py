@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from ..errors import AnalysisError
+from ..records import Source
 
 SEVERITIES = ("low", "significant", "critical")
 
@@ -67,39 +67,41 @@ class AttackProbe:
         return bytes.fromhex(self.payload_hex)
 
 
-def _read_csv(path: str, n_fields: int, what: str) -> list[list[str]]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
+def _read_csv(path: str, n_fields: int, build) -> list:
+    """build(row) for each CSV row of n_fields stripped fields; a bad row is
+    an AnalysisError with path:line."""
+    source = Source(path)
+    with source.parsing():
+        rows = []
+        for row in csv.reader(source):
             if len(row) != n_fields:
-                raise AnalysisError(
-                    f"{what} line {row_no}: expected {n_fields} fields")
-            rows.append([f.strip() for f in row])
-    return rows
+                raise ValueError(f"expected {n_fields} fields")
+            rows.append(build([f.strip() for f in row]))
+        return rows
+
+
+def _vuln_record(row: list[str]) -> VulnRecord:
+    if row[3] not in SEVERITIES:
+        raise ValueError(f"bad severity {row[3]!r}")
+    # fail fast on malformed ranges rather than at match time
+    version_in_range("1.0", row[1])
+    return VulnRecord(*row)
+
+
+def _attack_probe(row: list[str]) -> AttackProbe:
+    if row[1] not in SEVERITIES:
+        raise ValueError(f"bad severity {row[1]!r}")
+    probe = AttackProbe(*row)
+    probe.payload()             # validate the hex early
+    return probe
 
 
 def load_vuln_db(path: str) -> list[VulnRecord]:
-    records = []
-    for row in _read_csv(path, 5, "vuln db"):
-        if row[3] not in SEVERITIES:
-            raise AnalysisError(f"vuln db: bad severity {row[3]!r}")
-        # fail fast on malformed ranges rather than at match time
-        version_in_range("1.0", row[1])
-        records.append(VulnRecord(*row))
-    return records
+    return _read_csv(path, 5, _vuln_record)
 
 
 def load_attack_db(path: str) -> list[AttackProbe]:
-    probes = []
-    for row in _read_csv(path, 5, "attack db"):
-        if row[1] not in SEVERITIES:
-            raise AnalysisError(f"attack db: bad severity {row[1]!r}")
-        probe = AttackProbe(*row)
-        probe.payload()             # validate the hex early
-        probes.append(probe)
-    return probes
+    return _read_csv(path, 5, _attack_probe)
 
 
 def match_vulnerabilities(identity: dict[str, str],

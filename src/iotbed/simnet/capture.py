@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AnalysisError
+from ..records import load_lines
 from .payload import find_gps_marker, shannon_entropy
 
 
@@ -96,30 +96,17 @@ def write_capture(records: list[CaptureRecord], path: str) -> None:
                 f"kind={r.kind}\n")
 
 
+def _capture_record(kv: dict[str, str]) -> CaptureRecord:
+    marker = kv["payload_marker"]
+    return CaptureRecord(
+        seq=int(kv["seq"]), ts=float(kv["ts"]), src_addr=kv["src_addr"],
+        dst_addr=kv["dst_addr"], src_port=int(kv["src_port"]),
+        dst_port=int(kv["dst_port"]), proto=kv["proto"], ttl=int(kv["ttl"]),
+        size=int(kv["size"]), payload_entropy=float(kv["payload_entropy"]),
+        payload_marker=None if marker == "-" else marker,
+        direction=kv["direction"], kind=kv.get("kind", ""), payload=None)
+
+
 def read_capture(path: str) -> list[CaptureRecord]:
     """Records of a capture file; AnalysisError with path:line if malformed."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                kv = dict(tok.split("=", 1) for tok in line.split())
-                marker = kv["payload_marker"]
-                records.append(CaptureRecord(
-                    seq=int(kv["seq"]), ts=float(kv["ts"]),
-                    src_addr=kv["src_addr"], dst_addr=kv["dst_addr"],
-                    src_port=int(kv["src_port"]),
-                    dst_port=int(kv["dst_port"]), proto=kv["proto"],
-                    ttl=int(kv["ttl"]), size=int(kv["size"]),
-                    payload_entropy=float(kv["payload_entropy"]),
-                    payload_marker=None if marker == "-" else marker,
-                    direction=kv["direction"], kind=kv.get("kind", ""),
-                    payload=None))
-            except KeyError as exc:
-                raise AnalysisError(
-                    f"{path}:{line_no}: missing field {exc}") from None
-            except ValueError as exc:
-                raise AnalysisError(f"{path}:{line_no}: {exc}") from None
-    return records
+    return load_lines(path, _capture_record)

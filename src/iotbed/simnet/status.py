@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..errors import AnalysisError
+from ..records import load_lines
 
 
 @dataclass(frozen=True)
@@ -47,24 +47,13 @@ def write_status(samples: list[InternalStatusSample], path: str) -> None:
                      f"fs_events={s.fs_events}\n")
 
 
+def _status_sample(kv: dict[str, str]) -> InternalStatusSample:
+    return InternalStatusSample(
+        ts=float(kv["ts"]), device_id=kv["device"],
+        cpu_pct=float(kv["cpu_pct"]), mem_bytes=float(kv["mem_bytes"]),
+        fs_events=int(kv["fs_events"]))
+
+
 def read_status(path: str) -> list[InternalStatusSample]:
     """Samples of a status file; AnalysisError with path:line if malformed."""
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                kv = dict(tok.split("=", 1) for tok in line.split())
-                samples.append(InternalStatusSample(
-                    ts=float(kv["ts"]), device_id=kv["device"],
-                    cpu_pct=float(kv["cpu_pct"]),
-                    mem_bytes=float(kv["mem_bytes"]),
-                    fs_events=int(kv["fs_events"])))
-            except KeyError as exc:
-                raise AnalysisError(
-                    f"{path}:{line_no}: missing field {exc}") from None
-            except ValueError as exc:
-                raise AnalysisError(f"{path}:{line_no}: {exc}") from None
-    return samples
+    return load_lines(path, _status_sample)

@@ -176,6 +176,44 @@ def test_profile_test_malformed_capture_is_an_input_error(tmp_path, capsys):
     assert f"{bad}:2: missing field 'payload_marker'" in err
 
 
+@pytest.mark.parametrize("good, bad, line", [
+    ("max_depth=12", "max_depth=x", 4),
+    ("features: 10", "features: ten", 3),
+    ("ip_camera:1.0", "ip_camera:x", 7),
+    ("L 1 ip_camera:1.0\n", "", 7),        # tree section with no nodes
+], ids=["max-depth", "features", "leaf-probability", "no-nodes"])
+def test_profile_test_malformed_model_is_an_input_error(tmp_path, capsys,
+                                                        good, bad, line):
+    model_path = tmp_path / "model.prof"
+    save_model(StatModel(Leaf({"ip_camera": 1.0}, 1), ("ip_camera",), 10),
+               str(model_path))
+    text = model_path.read_text()
+    assert good in text
+    model_path.write_text(text.replace(good, bad))
+    capture = tmp_path / "c.cap"
+    synth_capture_file(CAMERA_TEXT, 1, 30, str(capture))
+    code = main(["profile", "test", "--model", str(model_path),
+                 "--capture", str(capture)])
+    assert code == 2
+    assert f"error: {model_path}:{line}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, line", [
+    ("cam-a.cap=ip_camera\nmote-a.cap\n", 2),
+    ("# labels\ncam-a.cap=ip_camera\nmote-a.cap= \n", 3),
+], ids=["no-equals", "empty-label"])
+def test_profile_train_malformed_labels_is_an_input_error(
+        profile_layout, capsys, content, line):
+    labels = profile_layout / "bad.labels"
+    labels.write_text(content)
+    code = main(["profile", "train",
+                 "--captures", str(profile_layout / "captures"),
+                 "--labels", str(labels),
+                 "--out", str(profile_layout / "m.prof")])
+    assert code == 2
+    assert f"error: {labels}:{line}: " in capsys.readouterr().err
+
+
 def test_profile_train_with_empty_labels(profile_layout, capsys):
     (profile_layout / "empty.labels").write_text("# nothing here\n")
     code = main(["profile", "train",
@@ -227,6 +265,20 @@ def test_bad_config_key_is_an_error(tmp_path, capsys):
     code = main(["--config", str(config), "list-elements"])
     assert code == 2
     assert "favourite_colour" in capsys.readouterr().err
+
+
+def test_bad_config_value_names_path_and_line(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text("# operator settings\nruns_dir=runs\ndefault_k=abc\n")
+    code = main(["--config", str(config), "list-elements"])
+    assert code == 2
+    assert f"error: {config}:3: " in capsys.readouterr().err
+
+
+def test_scan_bad_ports_is_a_usage_error(run_layout):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", str(run_layout / "cam.dev"), "--ports", "x"])
+    assert exc.value.code == 2
 
 
 def test_parser_rejects_unknown_backend():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -112,14 +113,17 @@ def test_load_score_list_file(tmp_path):
 
 
 def test_load_score_list_rejects_bad_rows(tmp_path):
-    bad = [("22,ssh\n", "field count"),
-           ("22,ssh,-1\n", "negative"),
-           ("22,ssh,4\n22,ssh,5\n", "duplicate"),
-           ("x,ssh,4\n", "non-numeric")]
-    for content, _ in bad:
-        path = tmp_path / "s.csv"
+    bad = [("22,ssh\n", 1, "fields"),
+           ("22,ssh,-1\n", 1, "negative"),
+           ("22,ssh,4\n22,ssh,5\n", 2, "duplicate"),
+           ("x,ssh,4\n", 1, "invalid literal"),
+           ("# port,description,score\n22,ssh,4\n\n23,telnet,x\n", 4,
+            "could not convert")]
+    path = tmp_path / "s.csv"
+    at = re.escape(str(path))
+    for content, line, what in bad:
         path.write_text(content)
-        with pytest.raises(AnalysisError):
+        with pytest.raises(AnalysisError, match=f"^{at}:{line}: .*{what}"):
             load_score_list(str(path))
 
 
@@ -193,9 +197,21 @@ def test_load_vuln_and_attack_db(tmp_path):
 
 def test_load_vuln_db_rejects_bad_severity(tmp_path):
     vp = tmp_path / "v.csv"
+    at = re.escape(str(vp))
     vp.write_text("busybox,1.0,V-1,apocalyptic,desc\n")
-    with pytest.raises(AnalysisError):
+    with pytest.raises(AnalysisError, match=f"^{at}:1: bad severity"):
         load_vuln_db(str(vp))
+    vp.write_text("# vulns\nbusybox,1.0,V-1,low,desc\nbusybox,1.0,V-2\n")
+    with pytest.raises(AnalysisError, match=f"^{at}:3: expected 5 fields"):
+        load_vuln_db(str(vp))
+    ap = tmp_path / "a.csv"
+    at = re.escape(str(ap))
+    ap.write_text("P-1,low,http,deadbeef,OK\nP-2,high,http,00,OK\n")
+    with pytest.raises(AnalysisError, match=f"^{at}:2: bad severity"):
+        load_attack_db(str(ap))
+    ap.write_text("P-1,low,http,deadbeef,OK\nP-2,low,http,zz,OK\n")
+    with pytest.raises(AnalysisError, match=f"^{at}:2: non-hexadecimal"):
+        load_attack_db(str(ap))
 
 
 # -- plugin catalog ---------------------------------------------------------
