@@ -66,7 +66,7 @@ class AttackFinding:
     def __post_init__(self):
         corroborated = self.corroboration == NETWORK_PLUS_STATUS
         if (self.classification == ATTACK) != corroborated:
-            raise AnalysisError(
+            raise ValueError(
                 "classification must be attack iff corroborated by status")
 
 
@@ -273,10 +273,12 @@ def _findings(fields) -> list[AttackFinding]:
         location = None if loc_text == "-" else _float_pair(loc_text, ",")
         windows = tuple(_float_pair(part, ":")
                         for part in fields[f"{p}.windows"].split(";") if part)
+        note = fields[f"{p}.note"]
+        # classification is looked up last, so a finding contradicting its
+        # corroboration is reported at its classification line
         findings.append(AttackFinding(
             windows, location, float(fields[f"{p}.time"]),
-            fields[f"{p}.corroboration"], fields[f"{p}.classification"],
-            fields[f"{p}.note"]))
+            fields[f"{p}.corroboration"], fields[f"{p}.classification"], note))
     return findings
 
 

@@ -24,7 +24,7 @@ from .profiler import (TrainParams, confusion_matrix, extract_features,
                        save_model, train_model)
 from .records import load
 from .scenario import load_scenario
-from .sectests import (Grade, format_score, grade_severity, human_grade,
+from .sectests import (ci_exit_code, format_score, human_grade,
                        load_attack_db, load_score_list, load_vuln_db,
                        parse_ports, score_ports)
 from .simnet import (LoopbackNetwork, MemoryNetwork, load_device_spec,
@@ -35,12 +35,13 @@ file formats:
   scenario (.scn)     line directives: scenario:, option: k=v, template_dir:,
                       test: NAME, phase: standard|context,
                       action: INITIATOR, ELEMENT, COMMAND, {k=v, ...},
-                      use: TEMPLATE  (# starts a comment)
+                      use: TEMPLATE (TEMPLATE.test: action: lines only)
   device spec (.dev)  device: ID k=v ... followed by port:/os:/app:/traffic:/
                       timing_range:/robustness:/encryption:/introspection:/
                       stored_data:/monitor:/compromise:/false_alarm: lines
   context script      one event per line: "<t> <lat> <lon> [day]", strictly
                       increasing t
+                      (in these three, # starts a comment anywhere on a line)
   score list (.csv)   port,description,score rows; # comments allowed
   vuln db (.csv)      device_type,version_range,vuln_id,severity,description
   attack db (.csv)    probe_id,severity,service_match,payload_hex,
@@ -180,10 +181,7 @@ def cmd_scan(args, config: CliConfig) -> int:
     print("Metric Score")
     print(f"  Total: {format_score(assessment.total_score)}")
     print(f"  Risk Level: {human_grade(assessment.risk_level)}")
-    if grade_severity(assessment.risk_level) >= \
-            grade_severity(Grade.MODERATE_RISK):
-        return 1
-    return 0
+    return ci_exit_code(assessment.risk_level)
 
 
 def _labels(fields) -> dict[str, str]:

@@ -6,13 +6,8 @@ class TestbedError(Exception):
 
 
 class ScenarioError(TestbedError):
-    """Scenario file problem; carries the 1-based line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A scenario that parsed but cannot run: no `devices` option, a dut
+    missing from the device file, or criteria for an unknown test kind."""
 
 
 class ValidationError(TestbedError):
@@ -32,8 +27,7 @@ class TransportError(TestbedError):
 
 
 class AnalysisError(TestbedError):
-    """Insufficient or incompatible data for baseline/anomaly analysis."""
-
-
-class CriteriaError(TestbedError):
-    """Verdict criteria missing or malformed for a test kind."""
+    """A malformed input or artifact file, reported as "<path>:<line>: ..."
+    (scenario, template, device spec, trajectory, capture, status,
+    findings, report, model, config, labels and CSV files), or data
+    insufficient or incompatible for baseline/anomaly analysis."""

@@ -6,7 +6,8 @@ location/time scripts driving the simulated network), phase 3 the forensic
 analysis plus optional profiling, then the report.  Every action leaves
 exactly one trace entry; a failing action errs its enclosing test and the
 remaining actions of that test are logged as skipped, but the run carries
-on with the next test.  Validation problems abort before anything runs.
+on with the next test.  Validation problems, and a malformed trajectory,
+abort before anything runs.
 
 All artifacts of one run live in a per-run directory: the scenario copy,
 trace, captures, status series, window statistics, findings, and the
@@ -26,8 +27,7 @@ from dataclasses import dataclass, field
 from .analysis import (DEFAULT_K, DEFAULT_WINDOW_S, AttackFinding,
                        analyze_run, build_baseline, window_series,
                        write_findings, write_window_stats)
-from .errors import (CriteriaError, ScenarioError, TestbedError,
-                     ValidationError)
+from .errors import ScenarioError, TestbedError, ValidationError
 from .model import (USER, Action, Command, ElementDescriptor, ElementKind,
                     ParamSchema, Phase, Scenario, Test)
 from .profiler import (ProfileDistribution, load_model, profile_device,
@@ -35,7 +35,7 @@ from .profiler import (ProfileDistribution, load_model, profile_device,
 from .records import dumps, load
 from .registry import ElementRegistry
 from .sectests import (CLEAN_GRADES, FAILED_GRADES, PLUGINS, Grade,
-                       PluginContext, RawResult, Verdict, grade_severity,
+                       PluginContext, RawResult, Verdict, ci_exit_code,
                        format_score, highest_risk, human_grade, judge,
                        load_attack_db, load_score_list, load_vuln_db,
                        score_ports)
@@ -100,11 +100,15 @@ def default_criteria() -> dict[str, dict]:
     return {kind: {} for kind in PLUGINS}
 
 
-def evaluate_verdict(raw: RawResult, criteria_config: dict) -> Verdict:
-    """Map raw plugin output through per-kind criteria to a Verdict."""
-    if raw.kind not in criteria_config:
-        raise CriteriaError(f"no criteria configured for {raw.kind!r}")
-    return judge(raw, criteria_config[raw.kind])
+def _number(params: dict, key: str, default: float | None = None) -> float:
+    """params[key], or default, as a float; a scenario option or action
+    parameter that is not a number raises ValidationError."""
+    value = params.get(key, default)
+    try:
+        return float(value)
+    except ValueError:
+        raise ValidationError(f"{key} must be a number, got {value!r}") \
+            from None
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +145,8 @@ class RunReport:
         return [r.verdict for r in self.phase1_results + self.phase2_results]
 
     def exit_code(self) -> int:
-        if self.overall["fail_count"] > 0:
-            return 1
         top = self.overall["highest_risk"]
-        # anything above MINOR_RISK fails CI
-        if top != "-" and grade_severity(Grade(top)) >= \
-                grade_severity(Grade.MODERATE_RISK):
-            return 1
-        return 0
+        return ci_exit_code(None if top == "-" else Grade(top))
 
 
 @dataclass
@@ -189,6 +187,7 @@ class ScenarioRunner:
         self.baseline_s = DEFAULT_BASELINE_S
         self.profile_model_path = ""
         self.context_log = []
+        self.trajectories: dict[str, list] = {}    # path -> its events
 
     # -- setup ----------------------------------------------------------
 
@@ -198,10 +197,10 @@ class ScenarioRunner:
 
     def _apply_options(self):
         opts = self.scenario.option_dict()
-        self.baseline_s = float(opts.get("baseline_s", DEFAULT_BASELINE_S))
-        self.options.window_s = float(opts.get("window_s",
-                                               self.options.window_s))
-        self.options.k = float(opts.get("k", self.options.k))
+        self.baseline_s = _number(opts, "baseline_s", DEFAULT_BASELINE_S)
+        self.options.window_s = _number(opts, "window_s",
+                                        self.options.window_s)
+        self.options.k = _number(opts, "k", self.options.k)
         self.profile_model_path = str(opts.get("profile_model", ""))
         if self.options.score_list:
             self.criteria_config["port_risk"]["score_list"] = \
@@ -225,8 +224,6 @@ class ScenarioRunner:
         if not devices_path:
             raise ScenarioError("scenario needs an 'option: devices=<path>'")
         self.device_specs = load_device_spec(self._resolve(str(devices_path)))
-        if not self.device_specs:
-            raise ScenarioError("device spec file declares no devices")
         self.dut_id = str(opts.get("dut", self.device_specs[0].device_id))
         ids = [d.device_id for d in self.device_specs]
         if self.dut_id not in ids:
@@ -249,10 +246,15 @@ class ScenarioRunner:
         self._spawn_devices()
 
     def validate(self):
-        """Check every action of every test before anything executes."""
+        """Check every action of every test, and load every trajectory it
+        replays, before anything executes."""
         for test in self.scenario.tests:
             for action in test.actions:
                 self.registry.validate_action(action)
+                if action.element == GPS_SIM and \
+                        action.command is Command.START:
+                    path = self._resolve(str(action.get("file")))
+                    self.trajectories[path] = load_trajectory(path)
 
     def _make_run_dir(self):
         stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -282,8 +284,7 @@ class ScenarioRunner:
         ctx = PluginContext(self.net, target, criteria,
                             self._measure_rng(kind, target), initiator=kind)
         raw = PLUGINS[kind].measure(ctx)
-        config = {**self.criteria_config, kind: criteria}
-        verdict = evaluate_verdict(raw, config)
+        verdict = judge(raw, criteria)
         self.raw_results.append((test.name, raw, criteria))
         self.phase_results[test.phase].append(
             PhaseResult(test.name, kind, verdict))
@@ -303,7 +304,7 @@ class ScenarioRunner:
             return f"grade={grade.value}", ()
         if action.command is Command.TEST_CONNECTION:
             ports = handle.spec.open_ports()
-            port = int(params.get("port", ports[0] if ports else 0))
+            port = int(_number(params, "port", ports[0] if ports else 0))
             conn = self.net.connect(action.initiator, action.element, port)
             if conn is None:
                 raise TestbedError(
@@ -312,7 +313,7 @@ class ScenarioRunner:
             return f"connected port={port}", ()
         if action.command is Command.LOGIN:
             ports = handle.spec.open_ports()
-            port = int(params.get("port", ports[0] if ports else 0))
+            port = int(_number(params, "port", ports[0] if ports else 0))
             conn = self.net.connect(action.initiator, action.element, port)
             if conn is None:
                 raise TestbedError(f"no connection to {action.element}:{port}")
@@ -334,15 +335,14 @@ class ScenarioRunner:
     def _exec_builtin(self, action: Action):
         params = action.param_dict()
         if action.element == CLOCK:
-            seconds = float(params["advance_s"])
+            seconds = _number(params, "advance_s")
             if seconds < 0:
                 raise ValidationError("advance_s must be >= 0")
             self.net.observe(seconds)
             return f"advanced {seconds:g}s to t={self.net.now():.3f}", ()
         if action.element == GPS_SIM:
             if action.command is Command.START:
-                path = self._resolve(str(params["file"]))
-                events = load_trajectory(path)
+                events = self.trajectories[self._resolve(str(params["file"]))]
                 self.net.advance_context(events)
                 self.context_log.extend(events)
                 return f"replayed {len(events)} context events", ()

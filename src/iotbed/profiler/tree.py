@@ -34,7 +34,7 @@ class Leaf:
     def __post_init__(self):
         total = sum(self.dist.values())
         if abs(total - 1.0) > 1e-9:
-            raise AnalysisError(f"leaf distribution sums to {total}, not 1")
+            raise ValueError(f"leaf distribution sums to {total}, not 1")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Documents hold one key=value per line (report.rec, findings.rec,
 windows.rec, profile records, config and labels files); record files hold
 one record of space-separated key=value tokens per line (capture.cap,
 status.rec).  Blank and # lines are skipped; keys and values are kept
-verbatim.  A KeyError or ValueError raised while a file is parsed becomes
+verbatim.  The scenario, template and device-spec files hold one
+`key: body` directive per line (see directives), the trajectory script
+whitespace-separated columns; all of them are read through Source.  A
+KeyError or ValueError raised while a file is parsed becomes
 AnalysisError("<path>:<line>: ..."), so a malformed file exits 2, not 1.
 """
 
@@ -77,6 +80,17 @@ class Fields(Mapping):
 
     def __len__(self) -> int:
         return len(self._values)
+
+
+def directives(source: Source):
+    """(key, body) of each `key: body` line of source, both stripped, with
+    a # comment cut from the end of the line."""
+    for text in source:
+        line = text.split("#", 1)[0].strip()
+        key, sep, body = line.partition(":")
+        if not sep:
+            raise ValueError(f"expected 'key: value', got {line!r}")
+        yield key.strip(), body.strip()
 
 
 def load(path: str, build):

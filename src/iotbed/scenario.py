@@ -13,15 +13,16 @@ File format (one directive per line, `#` starts a comment):
 `use: NAME` splices in the actions of `<template_dir>/NAME.test`, a file
 holding only `action:` (and optional comment) lines.  A params block that is
 a single bare token, e.g. `{trajectory.cfg}`, is shorthand for `{file=...}`.
-Values parse as int, then float, then string.  Errors report the 1-based
-line number of the offending directive.
+Values parse as int, then float, then string.  A malformed scenario or
+template raises AnalysisError("<path>:<line>: ...") naming the file at
+fault and its own line.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import ScenarioError, ValidationError
+from .errors import ValidationError
 from .model import (
     Action,
     ParamValue,
@@ -30,6 +31,7 @@ from .model import (
     Test,
     make_action,
 )
+from .records import Source, directives
 
 
 def _parse_value(text: str) -> ParamValue:
@@ -44,10 +46,10 @@ def _parse_value(text: str) -> ParamValue:
     return text
 
 
-def _parse_params(block: str, line: int) -> dict[str, ParamValue]:
+def _parse_params(block: str) -> dict[str, ParamValue]:
     block = block.strip()
     if not (block.startswith("{") and block.endswith("}")):
-        raise ScenarioError("params must be brace-delimited", line)
+        raise ValueError("params must be brace-delimited")
     inner = block[1:-1].strip()
     if not inner:
         return {}
@@ -60,54 +62,51 @@ def _parse_params(block: str, line: int) -> dict[str, ParamValue]:
         if not piece:
             continue
         if "=" not in piece:
-            raise ScenarioError(f"bad param {piece!r} (expected k=v)", line)
+            raise ValueError(f"bad param {piece!r} (expected k=v)")
         key, _, val = piece.partition("=")
         key = key.strip()
         if not key:
-            raise ScenarioError(f"bad param {piece!r} (empty key)", line)
+            raise ValueError(f"bad param {piece!r} (empty key)")
         params[key] = _parse_value(val.strip())
     return params
 
 
-def _parse_action(body: str, line: int) -> Action:
+def _parse_action(body: str) -> Action:
     brace = body.find("{")
     if brace < 0:
-        raise ScenarioError("action needs a {params} block", line)
+        raise ValueError("action needs a {params} block")
     head, block = body[:brace], body[brace:]
     fields = [f.strip() for f in head.split(",") if f.strip()]
     if len(fields) != 3:
-        raise ScenarioError(
-            "action expects: INITIATOR, ELEMENT, COMMAND, {params}", line)
+        raise ValueError(
+            "action expects: INITIATOR, ELEMENT, COMMAND, {params}")
     initiator, element, command = fields
-    params = _parse_params(block, line)
+    params = _parse_params(block)
     try:
         return make_action(initiator, element, command, params)
     except ValidationError as exc:
-        raise ScenarioError(str(exc), line) from exc
+        raise ValueError(str(exc)) from None
 
 
-def _load_template(template_dir: str, name: str, line: int) -> list[Action]:
+def _load_template(template_dir: str, name: str) -> list[Action]:
     path = os.path.join(template_dir, name + ".test")
     if not os.path.isfile(path):
-        raise ScenarioError(f"template not found: {path}", line)
+        raise ValueError(f"template not found: {path}")
     actions: list[Action] = []
-    with open(path, encoding="utf-8") as fh:
-        for tline_no, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            key, _, body = text.partition(":")
-            if key.strip() != "action":
-                raise ScenarioError(
-                    f"template {name}: only action lines allowed", tline_no)
-            actions.append(_parse_action(body.strip(), tline_no))
-    if not actions:
-        raise ScenarioError(f"template {name} is empty", line)
+    source = Source(path)
+    with source.parsing():
+        for key, body in directives(source):
+            if key != "action":
+                raise ValueError(f"template {name}: only action lines allowed")
+            actions.append(_parse_action(body))
+        if not actions:
+            raise ValueError(f"template {name} is empty")
     return actions
 
 
-def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
-    """Parse scenario text into a Scenario, resolving templates if used."""
+def load_scenario(path: str) -> Scenario:
+    """The scenario file at path, its `use:` templates spliced in."""
+    base_dir = os.path.dirname(os.path.abspath(path))
     name: str | None = None
     options: list[tuple[str, ParamValue]] = []
     template_dir = base_dir
@@ -116,76 +115,58 @@ def parse_scenario(text: str, base_dir: str = ".") -> Scenario:
     cur_phase = Phase.STANDARD
     cur_actions: list[Action] = []
 
-    def flush(line: int) -> None:
+    def flush() -> None:
         nonlocal cur_name, cur_actions, cur_phase
         if cur_name is None:
             return
         if not cur_actions:
-            raise ScenarioError(f"test {cur_name!r} has no actions", line)
+            raise ValueError(f"test {cur_name!r} has no actions")
         tests.append(Test(cur_name, tuple(cur_actions), cur_phase))
         cur_name, cur_actions, cur_phase = None, [], Phase.STANDARD
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, sep, body = stripped.partition(":")
-        key = key.strip()
-        body = body.strip()
-        if not sep:
-            raise ScenarioError(f"expected 'directive: value', got {raw.strip()!r}",
-                                line_no)
-        if key == "scenario":
-            if name is not None:
-                raise ScenarioError("duplicate scenario directive", line_no)
-            if not body:
-                raise ScenarioError("scenario needs a name", line_no)
-            name = body
-        elif key == "option":
-            if "=" not in body:
-                raise ScenarioError("option expects k=v", line_no)
-            k, _, v = body.partition("=")
-            options.append((k.strip(), _parse_value(v.strip())))
-        elif key == "template_dir":
-            template_dir = os.path.join(base_dir, body)
-        elif key == "test":
-            flush(line_no)
-            if not body:
-                raise ScenarioError("test needs a name", line_no)
-            if any(t.name == body for t in tests):
-                raise ScenarioError(f"duplicate test name {body!r}", line_no)
-            cur_name = body
-        elif key == "phase":
-            if cur_name is None:
-                raise ScenarioError("phase outside a test", line_no)
-            try:
+    source = Source(path)
+    with source.parsing():
+        for key, body in directives(source):
+            if key == "scenario":
+                if name is not None:
+                    raise ValueError("duplicate scenario directive")
+                if not body:
+                    raise ValueError("scenario needs a name")
+                name = body
+            elif key == "option":
+                if "=" not in body:
+                    raise ValueError("option expects k=v")
+                k, _, v = body.partition("=")
+                options.append((k.strip(), _parse_value(v.strip())))
+            elif key == "template_dir":
+                template_dir = os.path.join(base_dir, body)
+            elif key == "test":
+                flush()
+                if not body:
+                    raise ValueError("test needs a name")
+                if any(t.name == body for t in tests):
+                    raise ValueError(f"duplicate test name {body!r}")
+                cur_name = body
+            elif key == "phase":
+                if cur_name is None:
+                    raise ValueError("phase outside a test")
                 cur_phase = Phase(body)
-            except ValueError:
-                raise ScenarioError(f"unknown phase {body!r}", line_no) from None
-        elif key == "action":
-            if cur_name is None:
-                raise ScenarioError("action outside a test", line_no)
-            cur_actions.append(_parse_action(body, line_no))
-        elif key == "use":
-            if cur_name is None:
-                raise ScenarioError("use outside a test", line_no)
-            cur_actions.extend(_load_template(template_dir, body, line_no))
-        else:
-            raise ScenarioError(f"unknown directive {key!r}", line_no)
-
-    last = text.count("\n") + 1
-    flush(last)
-    if name is None:
-        raise ScenarioError("missing scenario directive", last)
-    if not tests:
-        raise ScenarioError("scenario has no tests", last)
+            elif key == "action":
+                if cur_name is None:
+                    raise ValueError("action outside a test")
+                cur_actions.append(_parse_action(body))
+            elif key == "use":
+                if cur_name is None:
+                    raise ValueError("use outside a test")
+                cur_actions.extend(_load_template(template_dir, body))
+            else:
+                raise ValueError(f"unknown directive {key!r}")
+        flush()
+        if name is None:
+            raise ValueError("missing scenario directive")
+        if not tests:
+            raise ValueError("scenario has no tests")
     return Scenario(name=name, tests=tuple(tests), options=tuple(options))
-
-
-def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import AnalysisError, TransportError
+from ..errors import AnalysisError, TransportError, ValidationError
 from .portrisk import (PortScoreEntry, format_score, parse_ports,
                        score_ports)
 from .verdict import Grade, Verdict
@@ -65,7 +65,11 @@ def _pick_port(spec, prefer: tuple[str, ...] = ()) -> int | None:
 # ---------------------------------------------------------------------------
 
 def measure_port_risk(ctx: PluginContext) -> RawResult:
-    ports = parse_ports(ctx.criteria.get("ports"))
+    listed = ctx.criteria.get("ports")
+    try:
+        ports = parse_ports(listed)
+    except ValueError:
+        raise ValidationError(f"port_risk: bad ports {listed!r}") from None
     found = ctx.net.scan_ports(ctx.initiator, ctx.device_id, ports)
     return RawResult("port_risk", {"open_ports": [p for p, _ in found]})
 

@@ -51,6 +51,15 @@ def grade_severity(grade: Grade) -> int:
     return _SEVERITY[grade]
 
 
+def ci_exit_code(highest: Grade | None) -> int:
+    """The exit code for a run or scan whose most severe grade is highest
+    (None when nothing was graded): 1 from MODERATE_RISK up, which takes
+    in FAIL and UNSAFE, else 0."""
+    if highest is None:
+        return 0
+    return int(grade_severity(highest) >= grade_severity(Grade.MODERATE_RISK))
+
+
 def human_grade(grade: Grade) -> str:
     """MINOR_RISK -> 'Minor Risk' and so on."""
     return grade.value.replace("_", " ").title()

@@ -3,8 +3,8 @@
 from .capture import CaptureRecord, CaptureTap, read_capture, write_capture
 from .clock import VirtualClock
 from .context import (ContextEvent, ContextFeed, ContextPredicate, Day,
-                      load_trajectory, parse_trajectory)
-from .devspec import DeviceSpec, load_device_spec, parse_device_spec
+                      load_trajectory)
+from .devspec import DeviceSpec, load_device_spec
 from .loopnet import LoopbackNetwork
 from .memnet import DeviceHandle, MemoryNetwork, ProxyMutator
 from .status import InternalStatusSample, read_status, write_status
@@ -13,8 +13,8 @@ __all__ = [
     "CaptureRecord", "CaptureTap", "read_capture", "write_capture",
     "VirtualClock",
     "ContextEvent", "ContextFeed", "ContextPredicate", "Day",
-    "load_trajectory", "parse_trajectory",
-    "DeviceSpec", "load_device_spec", "parse_device_spec",
+    "load_trajectory",
+    "DeviceSpec", "load_device_spec",
     "LoopbackNetwork",
     "DeviceHandle", "MemoryNetwork", "ProxyMutator",
     "InternalStatusSample", "read_status", "write_status",

@@ -11,7 +11,8 @@ Trajectory script format, one sample per line::
     0    32.0853  34.7818
     60   32.0861  34.7839  TUESDAY
 
-When the day column is absent it is derived from t (day 0 = MONDAY).
+When the day column is absent it is derived from t (day 0 = MONDAY).  A
+malformed script raises AnalysisError("<path>:<line>: ...").
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from ..errors import ScenarioError, ValidationError
+from ..records import Source
 
 EARTH_RADIUS_M = 6371000.0
 SECONDS_PER_DAY = 86400
@@ -62,9 +63,9 @@ class ContextEvent:
 
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"latitude out of range: {self.lat}")
+            raise ValueError(f"latitude out of range: {self.lat}")
         if not -180.0 <= self.lon <= 180.0:
-            raise ValidationError(f"longitude out of range: {self.lon}")
+            raise ValueError(f"longitude out of range: {self.lon}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,12 @@ class ContextPredicate:
         has_circle = self.radius_m is not None
         has_window = self.window_start is not None or self.window_end is not None
         if not has_circle and not has_window:
-            raise ValidationError("predicate needs a circle or a time window")
+            raise ValueError("predicate needs a circle or a time window")
         if has_circle:
             if self.center_lat is None or self.center_lon is None:
-                raise ValidationError("radius given without a center")
+                raise ValueError("radius given without a center")
             if self.radius_m <= 0:
-                raise ValidationError("radius must be positive")
+                raise ValueError("radius must be positive")
 
     def matches(self, event: ContextEvent) -> bool:
         if self.radius_m is not None:
@@ -101,43 +102,24 @@ class ContextPredicate:
         return True
 
 
-def parse_trajectory(text: str) -> list[ContextEvent]:
-    """Parse a trajectory script into time-ordered ContextEvents."""
-    samples: list[ContextEvent] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if len(fields) not in (3, 4):
-            raise ScenarioError("expected: t lat lon [day]", line_no)
-        try:
-            t = float(fields[0])
-            lat = float(fields[1])
-            lon = float(fields[2])
-        except ValueError:
-            raise ScenarioError(f"bad number in {stripped!r}", line_no) from None
-        if len(fields) == 4:
-            try:
-                day = Day(fields[3].upper())
-            except ValueError:
-                raise ScenarioError(f"unknown day {fields[3]!r}", line_no) from None
-        else:
-            day = day_for_time(t)
-        try:
-            samples.append(ContextEvent(t=t, lat=lat, lon=lon, day=day))
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), line_no) from exc
-    if not samples:
-        raise ScenarioError("trajectory script is empty", 1)
-    if any(b.t <= a.t for a, b in zip(samples, samples[1:])):
-        raise ScenarioError("trajectory times must strictly increase", 1)
-    return samples
-
-
 def load_trajectory(path: str) -> list[ContextEvent]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_trajectory(fh.read())
+    """The time-ordered ContextEvents of the trajectory script at path."""
+    samples: list[ContextEvent] = []
+    source = Source(path)
+    with source.parsing():
+        for text in source:
+            fields = text.split("#", 1)[0].split()
+            if len(fields) not in (3, 4):
+                raise ValueError("expected: t lat lon [day]")
+            t, lat, lon = (float(f) for f in fields[:3])
+            day = Day(fields[3].upper()) if len(fields) == 4 \
+                else day_for_time(t)
+            if samples and t <= samples[-1].t:
+                raise ValueError("trajectory times must strictly increase")
+            samples.append(ContextEvent(t=t, lat=lat, lon=lon, day=day))
+        if not samples:
+            raise ValueError("trajectory script is empty")
+    return samples
 
 
 class ContextFeed:

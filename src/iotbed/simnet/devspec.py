@@ -3,7 +3,9 @@
 One file can declare several devices.  Each `device:` line opens a block;
 the lines that follow attach properties to it.  Values are `key=value`
 tokens (shlex rules, so banners may be quoted); `port:`, `os:` and `app:`
-lines additionally take leading positional fields.
+lines additionally take leading positional fields.  A malformed file
+raises AnalysisError("<path>:<line>: ..."); a device whose values
+contradict each other is reported at its `device:` line.
 
     device: cam01 type=ip_camera
     address: 10.0.0.11
@@ -27,7 +29,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from ..errors import ScenarioError, ValidationError
+from ..records import Source, directives
 from .context import ContextPredicate
 
 # Ordered sensitivity ladder for stored data.
@@ -143,24 +145,25 @@ class DeviceSpec:
                 >= data_class_rank("sensitive"))
 
     def validate(self) -> None:
+        """Raise ValueError on a range no device can have."""
         if self.timing_min_ms is not None and self.timing_max_ms is not None:
             if self.timing_min_ms > self.timing_max_ms:
-                raise ValidationError(
+                raise ValueError(
                     f"{self.device_id}: timing range min > max")
         if self.traffic is not None:
             if self.traffic.size_stddev < 0 or self.traffic.gap_stddev_ms < 0:
-                raise ValidationError(
+                raise ValueError(
                     f"{self.device_id}: negative traffic stddev")
             if self.traffic.session_rate < 0:
-                raise ValidationError(
+                raise ValueError(
                     f"{self.device_id}: session_rate must be >= 0")
         for port in self.ports.values():
             if not 1 <= port.number <= 65535:
-                raise ValidationError(
+                raise ValueError(
                     f"{self.device_id}: port {port.number} out of range")
 
 
-def _split_kv(tokens: list[str], line: int,
+def _split_kv(tokens: list[str],
               positional: int = 0) -> tuple[list[str], dict[str, str]]:
     pos: list[str] = []
     kv: dict[str, str] = {}
@@ -171,11 +174,17 @@ def _split_kv(tokens: list[str], line: int,
         elif len(pos) < positional:
             pos.append(token)
         else:
-            raise ScenarioError(f"unexpected token {token!r}", line)
+            raise ValueError(f"unexpected token {token!r}")
     if len(pos) < positional:
-        raise ScenarioError(
-            f"expected {positional} positional fields, got {len(pos)}", line)
+        raise ValueError(
+            f"expected {positional} positional fields, got {len(pos)}")
     return pos, kv
+
+
+def _value(tokens: list[str]) -> str:
+    if not tokens:
+        raise ValueError("missing value")
+    return tokens[0]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -186,42 +195,35 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(p for p in text.split(",") if p)
 
 
-def parse_device_spec(text: str) -> list[DeviceSpec]:
+def load_device_spec(path: str) -> list[DeviceSpec]:
+    """The devices declared in the spec file at path."""
     devices: list[DeviceSpec] = []
+    lines: dict[str, int] = {}             # device id -> its device: line
     dev: DeviceSpec | None = None
 
-    def need(line: int) -> DeviceSpec:
+    def need() -> DeviceSpec:
         if dev is None:
-            raise ScenarioError("property before any device line", line)
+            raise ValueError("property before any device line")
         return dev
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        key, sep, body = stripped.partition(":")
-        key = key.strip()
-        if not sep:
-            raise ScenarioError(f"expected 'key: value', got {stripped!r}",
-                                line_no)
-        try:
-            tokens = shlex.split(body.strip())
-        except ValueError as exc:
-            raise ScenarioError(str(exc), line_no) from exc
-        try:
+    source = Source(path)
+    with source.parsing():
+        for key, body in directives(source):
+            tokens = shlex.split(body)
             if key == "device":
-                pos, kv = _split_kv(tokens, line_no, positional=1)
-                if any(d.device_id == pos[0] for d in devices):
-                    raise ScenarioError(f"duplicate device {pos[0]!r}", line_no)
+                pos, kv = _split_kv(tokens, positional=1)
+                if pos[0] in lines:
+                    raise ValueError(f"duplicate device {pos[0]!r}")
                 dev = DeviceSpec(device_id=pos[0])
                 dev.device_type = kv.get("type", dev.device_type)
                 devices.append(dev)
+                lines[dev.device_id] = source.line
             elif key == "address":
-                need(line_no).address = tokens[0]
+                need().address = _value(tokens)
             elif key == "connectivity":
-                need(line_no).connectivity = tokens[0]
+                need().connectivity = _value(tokens)
             elif key == "port":
-                pos, kv = _split_kv(tokens, line_no, positional=1)
+                pos, kv = _split_kv(tokens, positional=1)
                 port = PortSpec(number=int(pos[0]))
                 port.service = kv.get("service", port.service)
                 port.banner = kv.get("banner", port.banner)
@@ -232,22 +234,22 @@ def parse_device_spec(text: str) -> list[DeviceSpec]:
                     port.freshness = _parse_bool(kv["freshness"])
                 if "vulnerable_to" in kv:
                     port.vulnerable_to = _str_list(kv["vulnerable_to"])
-                d = need(line_no)
+                d = need()
                 if port.number in d.ports:
-                    raise ScenarioError(f"duplicate port {port.number}", line_no)
+                    raise ValueError(f"duplicate port {port.number}")
                 d.ports[port.number] = port
             elif key in ("os", "app"):
-                pos, kv = _split_kv(tokens, line_no, positional=2)
+                pos, kv = _split_kv(tokens, positional=2)
                 sw = SoftwareSpec(name=pos[0], version=pos[1])
                 if "up_to_date" in kv:
                     sw.up_to_date = _parse_bool(kv["up_to_date"])
                 sw.risk = kv.get("risk", sw.risk)
                 if key == "os":
-                    need(line_no).os = sw
+                    need().os = sw
                 else:
-                    need(line_no).apps.append(sw)
+                    need().apps.append(sw)
             elif key == "traffic":
-                _, kv = _split_kv(tokens, line_no)
+                _, kv = _split_kv(tokens)
                 t = TrafficSpec()
                 for name in ("size_mean", "size_stddev", "gap_ms",
                              "gap_stddev_ms", "session_rate"):
@@ -255,48 +257,46 @@ def parse_device_spec(text: str) -> list[DeviceSpec]:
                         setattr(t, name, float(kv[name]))
                 if "ttl" in kv:
                     t.ttl = int(kv["ttl"])
-                need(line_no).traffic = t
+                need().traffic = t
             elif key == "timing_range":
-                _, kv = _split_kv(tokens, line_no)
-                need(line_no).timing_min_ms = float(kv["min_ms"])
-                need(line_no).timing_max_ms = float(kv["max_ms"])
+                _, kv = _split_kv(tokens)
+                need().timing_min_ms = float(kv["min_ms"])
+                need().timing_max_ms = float(kv["max_ms"])
             elif key == "robustness":
-                _, kv = _split_kv(tokens, line_no)
+                _, kv = _split_kv(tokens)
                 if "ignores_malformed" in kv:
-                    need(line_no).ignores_malformed = \
+                    need().ignores_malformed = \
                         _parse_bool(kv["ignores_malformed"])
             elif key == "encryption":
-                _, kv = _split_kv(tokens, line_no)
-                d = need(line_no)
+                _, kv = _split_kv(tokens)
+                d = need()
                 if "payload" in kv:
                     if kv["payload"] not in ("encrypted", "plaintext"):
-                        raise ScenarioError(
-                            f"bad payload mode {kv['payload']!r}", line_no)
+                        raise ValueError(f"bad payload mode {kv['payload']!r}")
                     d.payload_mode = kv["payload"]
                 if "accepts_downgrade" in kv:
                     d.accepts_downgrade = _parse_bool(kv["accepts_downgrade"])
                 if "replay_protected" in kv:
                     d.replay_protected = _parse_bool(kv["replay_protected"])
             elif key == "introspection":
-                mode = tokens[0]
+                mode = _value(tokens)
                 if mode not in INTROSPECTION_MODES:
-                    raise ScenarioError(f"bad introspection mode {mode!r}",
-                                        line_no)
-                need(line_no).introspection = mode
+                    raise ValueError(f"bad introspection mode {mode!r}")
+                need().introspection = mode
             elif key == "stored_data":
-                cls = tokens[0]
+                cls = _value(tokens)
                 if cls not in DATA_CLASSES:
-                    raise ScenarioError(f"bad data class {cls!r}", line_no)
-                need(line_no).stored_data_class = cls
+                    raise ValueError(f"bad data class {cls!r}")
+                need().stored_data_class = cls
             elif key == "monitor":
-                _, kv = _split_kv(tokens, line_no)
-                m = need(line_no).monitor
+                _, kv = _split_kv(tokens)
+                m = need().monitor
                 for name in ("period_s", "cpu_base", "cpu_noise", "cpu_spike",
                              "mem_base", "mem_noise", "mem_spike"):
                     if name in kv:
                         setattr(m, name, float(kv[name]))
             elif key == "compromise":
-                _, kv = _split_kv(tokens, line_no)
+                _, kv = _split_kv(tokens)
                 window_start = window_end = None
                 if "window" in kv:
                     lo, _, hi = kv["window"].partition("-")
@@ -308,7 +308,7 @@ def parse_device_spec(text: str) -> list[DeviceSpec]:
                     window_start=window_start,
                     window_end=window_end,
                 )
-                need(line_no).compromise = CompromiseSpec(
+                need().compromise = CompromiseSpec(
                     trigger=trigger,
                     probe_ports=_int_list(
                         kv.get("ports", "21,22,23,80,443,8080,8883,9100")),
@@ -316,29 +316,17 @@ def parse_device_spec(text: str) -> list[DeviceSpec]:
                     targets=_str_list(kv.get("targets", "")),
                 )
             elif key == "false_alarm":
-                _, kv = _split_kv(tokens, line_no)
-                need(line_no).false_alarm = FalseAlarmSpec(
+                _, kv = _split_kv(tokens)
+                need().false_alarm = FalseAlarmSpec(
                     at_s=float(kv["at_s"]),
                     packets=int(kv.get("packets", "40")),
                     gap_ms=float(kv.get("gap_ms", "50")),
                 )
             else:
-                raise ScenarioError(f"unknown property {key!r}", line_no)
-        except ScenarioError:
-            raise
-        except (ValueError, KeyError, IndexError, ValidationError) as exc:
-            raise ScenarioError(f"{key}: {exc}", line_no) from exc
-
-    if not devices:
-        raise ScenarioError("no devices declared", 1)
-    for d in devices:
-        try:
+                raise ValueError(f"unknown property {key!r}")
+        if not devices:
+            raise ValueError("no devices declared")
+        for d in devices:
+            source.line = lines[d.device_id]
             d.validate()
-        except ValidationError as exc:
-            raise ScenarioError(str(exc), 1) from exc
     return devices
-
-
-def load_device_spec(path: str) -> list[DeviceSpec]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_device_spec(fh.read())

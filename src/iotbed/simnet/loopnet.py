@@ -227,10 +227,14 @@ class LoopbackNetwork(_Network):
         time.sleep(seconds)
 
     def advance_context(self, events: list[ContextEvent]) -> None:
+        """Publish each event once the wall clock reaches its t; one whose
+        t has passed is published at once."""
         if any(b.t < a.t for a, b in zip(events, events[1:])):
             raise TransportError("context events not sorted")
-        with self.lock:
-            for event in events:
+        for event in events:
+            while (wait := event.t - self.clock.now()) > 0:
+                time.sleep(wait)
+            with self.lock:
                 self.feed.publish(event)
 
     # -- device lifecycle -----------------------------------------------

@@ -1,8 +1,12 @@
 """Shared fixtures: device definitions, trajectory scripts, scenario files."""
 
+import os
+import re
+import tempfile
+
 import pytest
 
-from iotbed.simnet.devspec import parse_device_spec
+from iotbed.simnet.devspec import load_device_spec
 from iotbed.simnet.memnet import MemoryNetwork
 
 # A fully featured simulated camera used across the plugin tests.  Port 23
@@ -88,9 +92,27 @@ def make_trajectory_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def load_text(loader, text, folder=None):
+    """loader(path) on text written to <folder>/input.txt, folder being a
+    temporary directory removed afterwards when not given; the loaders
+    read only files, so tests parse inline text through this."""
+    if folder is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return load_text(loader, text, tmp)
+    path = os.path.join(folder, "input.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return loader(path)
+
+
+def input_at(folder, line: int) -> str:
+    """Regex of the start of an input error at line of load_text's file."""
+    return f"^{re.escape(os.path.join(str(folder), 'input.txt'))}:{line}: "
+
+
 @pytest.fixture
 def camera_spec():
-    return parse_device_spec(CAMERA_TEXT)[0]
+    return load_text(load_device_spec, CAMERA_TEXT)[0]
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (FLEET_TEXT, CAMERA_TEXT, CONTEXT_SCENARIO_TEXT,
                       INSIDE_WINDOWS, TRIGGER_LAT, TRIGGER_LON,
-                      TRIGGER_RADIUS_M, make_trajectory_text)
+                      TRIGGER_RADIUS_M, load_text, make_trajectory_text)
 from test_profiler import Row, oracle_best_gain, oracle_entropy, synth_capture
 from iotbed.model import Command, Phase
 from iotbed.orchestrator import (RunOptions, ScenarioRunner,
@@ -26,7 +26,7 @@ from iotbed.sectests.portrisk import PortScoreEntry, risk_level, score_ports
 from iotbed.sectests.verdict import Grade, grade_severity
 from iotbed.sectests.vulndb import AttackProbe, VulnRecord
 from iotbed.simnet.context import haversine_m
-from iotbed.simnet.devspec import parse_device_spec
+from iotbed.simnet.devspec import load_device_spec
 from iotbed.simnet.memnet import MemoryNetwork
 from iotbed.trace import read_trace
 
@@ -271,7 +271,7 @@ def test_criterion_04_verdict_table_exact_grades():
         assert best in expected and worst in expected, kind
         for i, (text, criteria, grade) in enumerate(rows):
             net = MemoryNetwork(seed=7)
-            for j, spec in enumerate(parse_device_spec(text)):
+            for j, spec in enumerate(load_text(load_device_spec, text)):
                 net.spawn_device(spec, dut=(j == 0))
             ctx = PluginContext(net=net, device_id="d",
                                 criteria=dict(criteria),
@@ -498,7 +498,7 @@ def test_criterion_09_capture_completeness_and_entropy_bounds():
             "ttl=64\n"
             "encryption: payload=plaintext\n")
     net = MemoryNetwork(seed=13)
-    for i, spec in enumerate(parse_device_spec(text)):
+    for i, spec in enumerate(load_text(load_device_spec, text)):
         net.spawn_device(spec, dut=(i == 0))
     net.observe(300)
 

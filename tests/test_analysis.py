@@ -241,9 +241,10 @@ def test_status_outside_slack_does_not_corroborate():
 
 
 def test_attack_finding_invariant():
-    with pytest.raises(AnalysisError):
+    # ValueError, so a reader reports a contradicting finding at its line
+    with pytest.raises(ValueError):
         AttackFinding(((0.0, 5.0),), None, 2.5, NETWORK_ONLY, ATTACK)
-    with pytest.raises(AnalysisError):
+    with pytest.raises(ValueError):
         AttackFinding(((0.0, 5.0),), None, 2.5, NETWORK_PLUS_STATUS,
                       POSSIBLE_FALSE_ALARM)
 
@@ -279,6 +280,14 @@ def test_findings_file_round_trip(tmp_path):
     path = str(tmp_path / "findings.rec")
     write_findings(findings, path)
     assert read_findings(path) == findings
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("classification=attack",
+                              "classification=possible_false_alarm"))
+    with pytest.raises(AnalysisError,
+                       match=r"findings\.rec:2: classification must be"):
+        read_findings(path)
 
 
 def test_window_stats_file(tmp_path):

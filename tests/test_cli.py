@@ -4,11 +4,12 @@ import os
 
 import pytest
 
-from conftest import CAMERA_TEXT
+from conftest import CAMERA_TEXT, load_text
 from iotbed.cli import build_parser, main
 from iotbed.profiler import Leaf, StatModel, save_model
 from iotbed.simnet import MemoryNetwork, write_capture
-from iotbed.simnet.devspec import parse_device_spec
+from iotbed.simnet.devspec import load_device_spec
+from iotbed.trace import read_trace
 
 RUN_SCENARIO = """\
 scenario: cli_smoke
@@ -40,6 +41,18 @@ def test_run_prints_summary_and_exits_clean(run_layout, capsys):
     run_id = next(line.split()[-1] for line in out.splitlines()
                   if line.startswith("run complete:"))
     assert os.path.isdir(os.path.join(runs, run_id))
+
+
+def test_run_bad_port_list_errs_the_action(run_layout, capsys):
+    (run_layout / "ports.scn").write_text(
+        "scenario: bad_ports\noption: devices=cam.dev\noption: baseline_s=0\n"
+        "test: scan\n"
+        "action: USER, port_risk, TEST, {target=cam1, ports=abc}\n")
+    runs = run_layout / "runs"
+    main(["run", str(run_layout / "ports.scn"), "--runs-dir", str(runs)])
+    assert "run complete" in capsys.readouterr().out
+    entry, = read_trace(str(runs / os.listdir(runs)[0] / "trace.jsonl"))
+    assert entry.outcome == "error" and "'abc'" in entry.message
 
 
 def test_report_rerender_is_byte_identical(run_layout, capsys):
@@ -114,7 +127,7 @@ traffic: size_mean=120 size_stddev=12 gap_ms=400 gap_stddev_ms=40 session_rate=8
 
 
 def synth_capture_file(text, seed, seconds, path):
-    spec = parse_device_spec(text)[0]
+    spec = load_text(load_device_spec, text)[0]
     net = MemoryNetwork(seed=seed)
     net.spawn_device(spec, dut=True)
     net.observe(seconds)
@@ -181,7 +194,9 @@ def test_profile_test_malformed_capture_is_an_input_error(tmp_path, capsys):
     ("features: 10", "features: ten", 3),
     ("ip_camera:1.0", "ip_camera:x", 7),
     ("L 1 ip_camera:1.0\n", "", 7),        # tree section with no nodes
-], ids=["max-depth", "features", "leaf-probability", "no-nodes"])
+    ("ip_camera:1.0", "ip_camera:0.5", 7),
+], ids=["max-depth", "features", "leaf-probability", "no-nodes",
+        "leaf-sums-to-half"])
 def test_profile_test_malformed_model_is_an_input_error(tmp_path, capsys,
                                                         good, bad, line):
     model_path = tmp_path / "model.prof"

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from conftest import (CAMERA_TEXT, FLEET_TEXT, INSIDE_WINDOWS, TRIGGER_LAT,
-                      TRIGGER_LON, TRIGGER_RADIUS_M)
+                      TRIGGER_LON, TRIGGER_RADIUS_M, load_text)
 from iotbed.errors import ScenarioError, ValidationError
 from iotbed.model import Command, ElementKind, Phase
 from iotbed.orchestrator import (CLOCK, GPS_SIM, SNIFFER, RunOptions,
@@ -16,12 +16,12 @@ from iotbed.orchestrator import (CLOCK, GPS_SIM, SNIFFER, RunOptions,
                                  device_descriptor, read_report_fields,
                                  render_report, report_fields, run_scenario)
 from iotbed.profiler import TrainParams, extract_features, save_model, train_model
-from iotbed.scenario import load_scenario, parse_scenario
+from iotbed.scenario import load_scenario
 from iotbed.sectests import PLUGINS
 from iotbed.sectests.portrisk import PortScoreEntry
 from iotbed.simnet import MemoryNetwork
 from iotbed.simnet.context import haversine_m
-from iotbed.simnet.devspec import parse_device_spec
+from iotbed.simnet.devspec import load_device_spec
 from iotbed.trace import read_trace
 
 
@@ -63,7 +63,7 @@ def test_builtin_descriptor_inventory():
 
 
 def test_device_descriptor_commands():
-    spec = parse_device_spec(CAMERA_TEXT)[0]
+    spec = load_text(load_device_spec, CAMERA_TEXT)[0]
     desc = device_descriptor(spec)
     assert desc.kind is ElementKind.DEVICE_UNDER_TEST
     for cmd in (Command.TEST, Command.TEST_CONNECTION, Command.LOGIN,
@@ -288,7 +288,7 @@ action: USER, SNIFFER, STOP, {}
 def test_profile_model_option_adds_profiling_section(tmp_path):
     # train a one-class model on the camera's own idle traffic, then point
     # the scenario at it
-    spec = parse_device_spec(CAMERA_TEXT)[0]
+    spec = load_text(load_device_spec, CAMERA_TEXT)[0]
     net = MemoryNetwork(seed=3)
     net.spawn_device(spec, dut=True)
     net.observe(120)
@@ -318,7 +318,8 @@ action: USER, cam1, TEST, {}
 
 def test_run_scenario_convenience_wrapper(tmp_path):
     (tmp_path / "cam.dev").write_text(CAMERA_TEXT)
-    scenario = parse_scenario(
+    scenario = load_text(
+        load_scenario,
         "scenario: s\noption: devices=cam.dev\noption: baseline_s=0\n"
         "test: t\naction: USER, cam1, TEST, {}\n")
     report = run_scenario(scenario, str(tmp_path),

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 
@@ -12,12 +14,14 @@ import pytest
 
 import iotbed
 from conftest import (CAMERA_TEXT, CONTEXT_SCENARIO_TEXT, FLEET_TEXT,
-                      make_trajectory_text)
+                      load_text, make_trajectory_text)
 from iotbed.analysis import read_findings
 from iotbed.cli import main
 from iotbed.errors import AnalysisError
-from iotbed.simnet import MemoryNetwork, read_status, write_capture
-from iotbed.simnet.devspec import parse_device_spec
+from iotbed.scenario import load_scenario
+from iotbed.simnet import (MemoryNetwork, load_trajectory, read_status,
+                           write_capture)
+from iotbed.simnet.devspec import load_device_spec
 
 # sha256 of `iotbed --seed 7 run` on the conftest context scenario, taken
 # before the artifact readers and writers moved onto iotbed.records;
@@ -40,6 +44,15 @@ device: mote1 type=sensor_mote connectivity=zigbee
 traffic: size_mean=120 size_stddev=12 gap_ms=400 gap_stddev_ms=40 session_rate=8 ttl=32
 """
 
+# The context scenario with its identity checks moved into a template.
+IDENTITY_ACTIONS = """\
+action: USER, cam1, TEST, {}
+action: USER, port_risk, TEST, {target=cam1, ports=1-1024}
+action: USER, fingerprint, TEST, {target=cam1}
+"""
+TEMPLATE_TEXT = "# identity checks\n" + IDENTITY_ACTIONS
+AUDIT_TEXT = CONTEXT_SCENARIO_TEXT.replace(IDENTITY_ACTIONS, "use: identity\n")
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -58,7 +71,7 @@ def files(tmp_path_factory):
     for seed, (name, text) in enumerate((("cam.cap", CAMERA_TEXT),
                                          ("mote.cap", MOTE_TEXT))):
         net = MemoryNetwork(seed=seed)
-        net.spawn_device(parse_device_spec(text)[0], dut=True)
+        net.spawn_device(load_text(load_device_spec, text)[0], dut=True)
         net.observe(60)
         write_capture(net.tap.records, str(captures / name))
     (base / "train.labels").write_text(
@@ -66,12 +79,19 @@ def files(tmp_path_factory):
     assert main(["profile", "train", "--captures", str(captures),
                  "--labels", str(base / "train.labels"),
                  "--out", str(base / "model.prof")]) == 0
+    inputs = base / "inputs"
+    inputs.mkdir()
+    for name, text in (("devices.dev", FLEET_TEXT),
+                       ("traj.ctx", make_trajectory_text()),
+                       ("audit.scn", AUDIT_TEXT),
+                       ("identity.test", TEMPLATE_TEXT)):
+        (inputs / name).write_text(text)
     (base / "scores.csv").write_text("80,web,3\n")
     (base / "iotbed.conf").write_text(
         f"registry_dir={base}\nruns_dir={runs}\n"
         f"score_list_path={base / 'scores.csv'}\ndefault_k=3\n"
         "default_window_s=5.0\ntransport_backend=memory\n")
-    return {"run": run_dir, "captures": captures,
+    return {"run": run_dir, "captures": captures, "inputs": inputs,
             "model": base / "model.prof", "config": base / "iotbed.conf",
             "labels": base / "train.labels"}
 
@@ -102,12 +122,16 @@ def test_report_rerenders_byte_for_byte(files, capsys):
 
 
 def mutations(text: str, seed: int, n: int = 20) -> list[str]:
-    """Truncate at a byte, drop a line, delete an =, or set a value to x."""
+    """Truncate at a byte, drop a line, delete an =, or set a value to x;
+    in a file with no = (a trajectory) the space before a value stands in
+    for the =."""
     rng = random.Random(seed)
     lines = text.splitlines(keepends=True)
-    equals = [i for i, ch in enumerate(text) if ch == "="]
+    equals = [i for i, ch in enumerate(text) if ch == "="] or \
+        [i for i, ch in enumerate(text) if ch == " "]
     values = [i + 1 for i, ch in enumerate(text) if ch == "="] + \
-        [i + 2 for i in range(len(text) - 1) if text[i:i + 2] == ": "]
+        [i + 2 for i in range(len(text) - 1) if text[i:i + 2] == ": "] or \
+        [i + 1 for i in equals]
     out = []
     for i in range(n):
         how = i % 4
@@ -129,7 +153,8 @@ def mutations(text: str, seed: int, n: int = 20) -> list[str]:
 
 def fuzz_cases(files, tmp):
     """(what, mutation number, argv maker or reader, path) for every
-    mutation of every file; status and findings have only a reader."""
+    mutation of every file; status and findings have only a reader.  An
+    input file is mutated in a copy of the whole input folder."""
     run = files["run"]
     good_capture = str(files["captures"] / "cam.cap")
     targets = {
@@ -150,20 +175,59 @@ def fuzz_cases(files, tmp):
         "findings": (run / "findings.rec", read_findings),
     }
     cases = []
-    for seed, (what, (source, use)) in enumerate(sorted(targets.items())):
-        for i, text in enumerate(mutations(source.read_text(), seed)):
+    inputs = sorted(input_targets(files, tmp).items())
+    for seed, (what, (source, use)) in enumerate(
+            sorted(targets.items()) + inputs):
+        n = 8 if what in INPUTS else 20
+        for i, text in enumerate(mutations(source.read_text(), seed, n)):
             folder = tmp / f"{what}-{i}"
-            folder.mkdir()
+            if what in INPUTS:
+                shutil.copytree(files["inputs"], folder)
+            else:
+                folder.mkdir()
             path = folder / source.name
             path.write_text(text)
             cases.append((what, i, use, str(path)))
     return cases
 
 
+INPUTS = ("devices", "scenario", "template", "trajectory")
+
+
+def input_targets(files, tmp):
+    """What each input file goes through: iotbed run for the scenario, its
+    template and the trajectory, list-elements for the device spec."""
+    inputs = files["inputs"]
+
+    def run(path):
+        scenario = os.path.join(os.path.dirname(path), "audit.scn")
+        return ["--seed", "7", "run", scenario,
+                "--runs-dir", str(tmp / "runs")]
+    return {
+        "devices": (inputs / "devices.dev",
+                    lambda p: ["list-elements", "--devices", p]),
+        "scenario": (inputs / "audit.scn", run),
+        "template": (inputs / "identity.test", run),
+        "trajectory": (inputs / "traj.ctx", run),
+    }
+
+
+def input_rejected(what, path) -> bool:
+    """Whether the input's own loader rejects the mutated file."""
+    folder = os.path.dirname(path)
+    load = {"devices": load_device_spec, "trajectory": load_trajectory}.get(
+        what, lambda _: load_scenario(os.path.join(folder, "audit.scn")))
+    try:
+        load(path)
+    except AnalysisError:
+        return True
+    return False
+
+
 @pytest.mark.filterwarnings("ignore:training set has a single class")
 def test_corrupted_files_exit_2_or_read_cleanly(files, tmp_path, capsys):
     cases = fuzz_cases(files, tmp_path)
-    assert len(cases) == 7 * 20
+    assert len(cases) == 7 * 20 + 4 * 8
     outcomes = set()
     for what, _, use, path in cases:
         if what in ("status", "findings"):
@@ -175,13 +239,25 @@ def test_corrupted_files_exit_2_or_read_cleanly(files, tmp_path, capsys):
             continue
         code = main(use(path))
         err = capsys.readouterr().err
-        assert code in (0, 2), (what, path, err)
+        # a run may find a risk (1); any other exit 1 would be a traceback
+        assert code in ((0, 1, 2) if "run" in use(path) else (0, 2)), \
+            (what, path, err)
         outcomes.add((what, code))
+        # a file its loader rejects is named with a line of its own; an
+        # exit 2 from a run-time check on a scenario that parses (an
+        # unknown dut, k=x) names no file
+        if what in INPUTS and input_rejected(what, path):
+            assert code == 2 and re.match(
+                f"error: {re.escape(path)}:[0-9]+: ", err), (what, path, err)
+            outcomes.add((what, "located"))
     # every file type both survives some mutations and rejects others
     for what in ("capture", "model", "report", "config", "labels",
                  "status", "findings"):
         assert (what, 2) in outcomes, what
     assert ("labels", 0) in outcomes and ("capture", 0) in outcomes
+    for what in INPUTS:
+        assert (what, "located") in outcomes, what
+        assert (what, 0) in outcomes or (what, 1) in outcomes, what
 
 
 def test_corrupted_files_under_python_O(files, tmp_path):
@@ -203,5 +279,7 @@ def test_corrupted_files_under_python_O(files, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     codes = json.loads(done.stdout.splitlines()[-1])
-    assert len(codes) == len(cases) == 15
-    assert set(codes) <= {0, 2} and 2 in codes
+    assert len(codes) == len(cases) == 5 * 3 + 4 * 3
+    for (_, argv), code in zip(cases, codes):
+        assert code in ((0, 1, 2) if "run" in argv else (0, 2)), argv
+    assert 2 in codes

@@ -36,15 +36,17 @@ from iotbed.sectests.vulndb import (
     match_vulnerabilities,
     version_in_range,
 )
-from iotbed.simnet.devspec import parse_device_spec
+from iotbed.simnet.devspec import load_device_spec
 from iotbed.simnet.memnet import MemoryNetwork
+
+from conftest import load_text
 
 NINE_PORTS = [135, 139, 80, 5900, 445, 443, 49152, 6646, 2869]
 
 
 def make_net(text: str, seed: int = 7) -> MemoryNetwork:
     net = MemoryNetwork(seed=seed)
-    for i, spec in enumerate(parse_device_spec(text)):
+    for i, spec in enumerate(load_text(load_device_spec, text)):
         net.spawn_device(spec, dut=(i == 0))
     return net
 

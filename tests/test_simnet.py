@@ -9,8 +9,7 @@ import threading
 
 import pytest
 
-from iotbed.errors import (AnalysisError, ScenarioError, TransportError,
-                           ValidationError)
+from iotbed.errors import AnalysisError, TransportError
 from iotbed.simnet.clock import VirtualClock
 from iotbed.simnet.context import (
     ContextEvent,
@@ -18,9 +17,9 @@ from iotbed.simnet.context import (
     ContextPredicate,
     Day,
     haversine_m,
-    parse_trajectory,
+    load_trajectory,
 )
-from iotbed.simnet.devspec import DeviceSpec, parse_device_spec
+from iotbed.simnet.devspec import DeviceSpec, load_device_spec
 from iotbed.simnet.loopnet import LoopbackNetwork
 from iotbed.simnet.memnet import MemoryNetwork, ProxyMutator
 from iotbed.simnet.payload import (
@@ -34,7 +33,7 @@ from iotbed.simnet.services import DeviceState, ServiceEngine
 from iotbed.simnet.status import (InternalStatusSample, read_status,
                                   write_status)
 
-from conftest import CAMERA_TEXT, FLEET_TEXT
+from conftest import CAMERA_TEXT, FLEET_TEXT, input_at, load_text
 
 
 # -- device spec DSL --------------------------------------------------------
@@ -58,7 +57,7 @@ def test_parse_camera_spec_fields(camera_spec):
 
 
 def test_parse_multiple_devices():
-    specs = parse_device_spec(FLEET_TEXT)
+    specs = load_text(load_device_spec, FLEET_TEXT)
     assert [s.device_id for s in specs] == ["cam1", "hub1", "srv1", "srv2"]
     assert specs[0].compromise is not None
     assert specs[0].compromise.targets == ("hub1", "srv1", "srv2")
@@ -66,7 +65,8 @@ def test_parse_multiple_devices():
 
 
 def test_zero_session_rate_means_silent_device():
-    spec = parse_device_spec(
+    spec = load_text(
+        load_device_spec,
         "device: quiet type=server connectivity=ethernet\n"
         "traffic: session_rate=0\n")[0]
     net = MemoryNetwork(seed=1)
@@ -75,26 +75,38 @@ def test_zero_session_rate_means_silent_device():
     assert [r for r in net.tap.records if r.src_addr == "quiet"] == []
 
 
-def test_negative_session_rate_rejected():
-    with pytest.raises(ScenarioError):
-        parse_device_spec(
-            "device: d type=server connectivity=ethernet\n"
-            "traffic: session_rate=-1\n")
+def test_negative_session_rate_rejected(tmp_path):
+    # a contradiction found once the block is complete is reported at the
+    # device's own line
+    with pytest.raises(AnalysisError,
+                       match=input_at(tmp_path, 2) + "d: session_rate"):
+        load_text(load_device_spec,
+                  "# fleet\ndevice: d type=server connectivity=ethernet\n"
+                  "traffic: session_rate=-1\n", tmp_path)
 
 
-def test_bad_property_values_rejected():
-    with pytest.raises((ValidationError, ScenarioError)):
-        parse_device_spec("device: d type=server connectivity=ethernet\n"
-                          "stored_data: topsecret\n")
-    with pytest.raises((ValidationError, ScenarioError)):
-        parse_device_spec("device: d type=server connectivity=ethernet\n"
-                          "introspection: sideways\n")
+def test_bad_property_values_rejected(tmp_path):
+    with pytest.raises(AnalysisError,
+                       match=input_at(tmp_path, 2) + "bad data"):
+        load_text(load_device_spec,
+                  "device: d type=server connectivity=ethernet\n"
+                  "stored_data: topsecret\n", tmp_path)
+    with pytest.raises(AnalysisError,
+                       match=input_at(tmp_path, 2) + "bad intro"):
+        load_text(load_device_spec,
+                  "device: d type=server connectivity=ethernet\n"
+                  "introspection: sideways\n", tmp_path)
+    with pytest.raises(AnalysisError, match=input_at(tmp_path, 3) + "missing"):
+        load_text(load_device_spec,
+                  "device: d type=server\n\naddress:   # none given\n",
+                  tmp_path)
 
 
-def test_duplicate_port_rejected():
-    with pytest.raises((ValidationError, ScenarioError)):
-        parse_device_spec("device: d type=server connectivity=ethernet\n"
-                          "port: 80 service=http\nport: 80 service=http\n")
+def test_duplicate_port_rejected(tmp_path):
+    with pytest.raises(AnalysisError, match=input_at(tmp_path, 3)):
+        load_text(load_device_spec,
+                  "device: d type=server connectivity=ethernet\n"
+                  "port: 80 service=http\nport: 80 service=http\n", tmp_path)
 
 
 # -- virtual clock ----------------------------------------------------------
@@ -191,19 +203,21 @@ def test_haversine_against_oracle():
 
 
 def test_parse_trajectory_rows_and_day_default():
-    events = parse_trajectory("0 32.0 34.0\n10 32.1 34.1 TUESDAY\n")
+    events = load_text(load_trajectory,
+                       "0 32.0 34.0\n10 32.1 34.1 TUESDAY  # inline\n")
     assert len(events) == 2
     assert events[0].t == 0.0 and events[0].day is Day.MONDAY
     assert events[1].day is Day.TUESDAY
 
 
-def test_parse_trajectory_rejects_disorder_and_garbage():
-    with pytest.raises(ScenarioError):
-        parse_trajectory("10 32 34\n5 32 34\n")
-    with pytest.raises(ScenarioError):
-        parse_trajectory("abc 32 34\n")
-    with pytest.raises(ScenarioError):
-        parse_trajectory("")
+def test_parse_trajectory_rejects_disorder_and_garbage(tmp_path):
+    for text, line in (("10 32 34\n5 32 34\n", 2),
+                       ("# t lat lon\nabc 32 34\n", 2),
+                       ("0 32 34\n5 95 34\n", 2),
+                       ("0 32 34 FUNDAY\n", 1),
+                       ("", 1)):
+        with pytest.raises(AnalysisError, match=input_at(tmp_path, line)):
+            load_text(load_trajectory, text, tmp_path)
 
 
 def test_context_predicate_circle_and_window():
@@ -260,7 +274,7 @@ def test_login_replay_denied_when_fresh(camera_spec):
     assert eng.handle(23, b"LOGIN root root nonce=n1").startswith(b"OK")
     assert eng.handle(23, b"LOGIN root root nonce=n1").startswith(b"OK")
     # flip protection on and the same nonce is rejected the second time
-    protected = parse_device_spec(CAMERA_TEXT.replace(
+    protected = load_text(load_device_spec, CAMERA_TEXT.replace(
         "replay_protected=no", "replay_protected=yes"))[0]
     eng2 = ServiceEngine(protected, DeviceState(), random.Random(3))
     assert eng2.handle(23, b"LOGIN root root nonce=n1").startswith(b"OK")
@@ -276,14 +290,15 @@ def test_cmd_returns_payload_and_downgrade_lowers_entropy(engine):
 
 
 def test_downgrade_rejected_when_disabled(camera_spec):
-    spec = parse_device_spec(CAMERA_TEXT.replace(
+    spec = load_text(load_device_spec, CAMERA_TEXT.replace(
         "accepts_downgrade=yes", "accepts_downgrade=no"))[0]
     eng = ServiceEngine(spec, DeviceState(), random.Random(3))
     assert eng.handle(443, b"DOWNGRADE null") == b"REJECT"
 
 
 def test_vprobe_matches_declared_weaknesses():
-    spec = parse_device_spec(
+    spec = load_text(
+        load_device_spec,
         "device: d type=server connectivity=ethernet\n"
         "port: 80 service=http vulnerable_to=CVE-1\n")[0]
     eng = ServiceEngine(spec, DeviceState(), random.Random(3))
@@ -293,7 +308,7 @@ def test_vprobe_matches_declared_weaknesses():
 
 def test_enum_gated_by_introspection(engine):
     assert engine.handle(23, b"ENUM") == b"DENIED"
-    open_spec = parse_device_spec(CAMERA_TEXT.replace(
+    open_spec = load_text(load_device_spec, CAMERA_TEXT.replace(
         "introspection: remote_blocked", "introspection: none"))[0]
     eng = ServiceEngine(open_spec, DeviceState(), random.Random(3))
     assert eng.handle(23, b"ENUM") == b"PROCS init,telemetryd,updater,appd"
@@ -304,7 +319,7 @@ def test_local_process_list_gated(camera_spec):
     # introspection none or local; remote_blocked means creds required there too
     blocked = ServiceEngine(camera_spec, DeviceState(), random.Random(1))
     assert blocked.local_process_list() is None
-    local = parse_device_spec(CAMERA_TEXT.replace(
+    local = load_text(load_device_spec, CAMERA_TEXT.replace(
         "introspection: remote_blocked", "introspection: local"))[0]
     eng = ServiceEngine(local, DeviceState(), random.Random(1))
     assert eng.local_process_list() == "init,telemetryd,updater,appd"
@@ -324,7 +339,8 @@ def test_malformed_error_reply_without_crash_flag(engine):
 
 
 def test_malformed_silently_ignored_when_robust():
-    spec = parse_device_spec(
+    spec = load_text(
+        load_device_spec,
         "device: d type=server connectivity=ethernet\n"
         "port: 80 service=http\nrobustness: ignores_malformed=yes\n")[0]
     eng = ServiceEngine(spec, DeviceState(), random.Random(1))
@@ -480,7 +496,7 @@ def test_read_status_reports_path_and_line(camera_net, tmp_path):
 
 
 def test_context_trigger_fires_probe_burst():
-    spec = parse_device_spec(FLEET_TEXT)
+    spec = load_text(load_device_spec, FLEET_TEXT)
     net = MemoryNetwork(seed=3)
     for i, s in enumerate(spec):
         net.spawn_device(s, dut=(i == 0))
@@ -499,7 +515,7 @@ def test_context_trigger_fires_probe_burst():
 
 
 def test_context_outside_radius_stays_quiet():
-    spec = parse_device_spec(FLEET_TEXT)
+    spec = load_text(load_device_spec, FLEET_TEXT)
     net = MemoryNetwork(seed=3)
     for i, s in enumerate(spec):
         net.spawn_device(s, dut=(i == 0))
@@ -547,7 +563,8 @@ traffic: session_rate=0 ttl=255
 def _conformance_facts(net):
     """Clock-independent facts of one short scenario on `net`."""
     try:
-        for i, spec in enumerate(parse_device_spec(CONFORMANCE_TEXT)):
+        specs = load_text(load_device_spec, CONFORMANCE_TEXT)
+        for i, spec in enumerate(specs):
             net.spawn_device(spec, dut=(i == 0))
         kinds = []
 
@@ -595,6 +612,29 @@ def test_backends_simulate_the_same_device():
     assert _conformance_facts(LoopbackNetwork(seed=5)) == memory
 
 
+def _burst_starts(net):
+    """t_start of each burst after context events at t=0.3 (in the trigger
+    zone), 0.5 (outside) and 0.7 (inside)."""
+    try:
+        for i, spec in enumerate(load_text(load_device_spec,
+                                           CONFORMANCE_TEXT)):
+            net.spawn_device(spec, dut=(i == 0))
+        net.advance_context([
+            ContextEvent(t=t, lat=lat, lon=34.7818, day=Day.MONDAY)
+            for t, lat in ((0.3, 32.0853), (0.5, 32.0953), (0.7, 32.0853))])
+        return [w.t_start for w in net.burst_log()]
+    finally:
+        if hasattr(net, "shutdown"):
+            net.shutdown()
+
+
+def test_context_events_fire_at_their_time_on_both_backends():
+    assert _burst_starts(MemoryNetwork(seed=5)) == [0.3, 0.7]
+    loopback = _burst_starts(LoopbackNetwork(seed=5))
+    assert len(loopback) == 2
+    assert loopback[0] >= 0.3 and loopback[1] >= 0.7
+
+
 BUSY_TEXT = """\
 device: busy1 type=sensor connectivity=wifi
 port: 443 service=https
@@ -610,7 +650,7 @@ def test_loopback_records_stay_consistent_under_concurrency():
     sys.setswitchinterval(1e-6)
     net = LoopbackNetwork(seed=5)
     try:
-        net.spawn_device(parse_device_spec(BUSY_TEXT)[0])
+        net.spawn_device(load_text(load_device_spec, BUSY_TEXT)[0])
 
         def client():
             conn = net.connect("tester", "busy1", 443)
