@@ -2,7 +2,8 @@
 
 Exit codes: 0 when nothing failed and the highest risk is at most minor,
 1 when any test failed or a higher risk tier was reached, 2 on runtime,
-parse, or validation errors.  All commands are non-interactive and print
+parse, or validation errors, and for a run that found no risk but in
+which an action erred.  All commands are non-interactive and print
 deterministically for identical inputs and state.
 """
 
@@ -141,7 +142,8 @@ def cmd_run(args, config: CliConfig) -> int:
     print(f"report: {os.path.join(report.run_dir, 'report.txt')}")
     print(f"pass={report.overall['pass_count']} "
           f"fail={report.overall['fail_count']} "
-          f"highest={report.overall['highest_risk']}")
+          f"highest={report.overall['highest_risk']} "
+          f"errors={report.errors}")
     return report.exit_code()
 
 

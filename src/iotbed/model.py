@@ -150,8 +150,6 @@ class ElementDescriptor:
     id: str
     kind: ElementKind
     driver: dict[Command, ParamSchema] = field(default_factory=dict)
-    # Optional pointer to a device spec file (device_under_test / fleet simulators).
-    spec_path: str | None = None
     description: str = ""
 
     def supports(self, command: Command) -> bool:

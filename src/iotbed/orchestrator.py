@@ -89,7 +89,7 @@ def device_descriptor(spec) -> ElementDescriptor:
                                     optional=("port",)),
          Command.START: ParamSchema(),
          Command.STOP: ParamSchema()},
-        spec_path="", description=f"simulated {spec.device_type}")
+        description=f"simulated {spec.device_type}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +140,14 @@ class RunReport:
     trace_ref: str
     generated_at: str
     run_dir: str = ""
+    errors: int = 0            # actions that erred; not written to report.rec
 
     def verdicts(self) -> list[Verdict]:
         return [r.verdict for r in self.phase1_results + self.phase2_results]
 
     def exit_code(self) -> int:
         top = self.overall["highest_risk"]
-        return ci_exit_code(None if top == "-" else Grade(top))
+        return ci_exit_code(None if top == "-" else Grade(top), self.errors)
 
 
 @dataclass
@@ -184,6 +185,7 @@ class ScenarioRunner:
         self.capture_stack: list = []
         self.artifact_counter = 0
         self.measure_counter = 0
+        self.errors = 0
         self.baseline_s = DEFAULT_BASELINE_S
         self.profile_model_path = ""
         self.context_log = []
@@ -213,9 +215,13 @@ class ScenarioRunner:
                 self.options.attack_db
         for key, value in opts.items():
             if key.startswith("criteria."):
-                _, kind, name = key.split(".", 2)
+                kind, _, name = key[len("criteria."):].partition(".")
                 if kind not in self.criteria_config:
-                    raise ScenarioError(f"criteria for unknown test {kind!r}")
+                    raise ScenarioError(
+                        f"{key}: criteria for unknown test {kind!r}")
+                if not name:
+                    raise ScenarioError(
+                        f"{key}: criteria option names no parameter")
                 self.criteria_config[kind][name] = value
 
     def _spawn_devices(self):
@@ -383,6 +389,7 @@ class ScenarioRunner:
                 message, artifacts = self.execute_action(test, action)
             except TestbedError as exc:
                 failed = True
+                self.errors += 1
                 self.trace.append(self.net.now(), test.name, action,
                                   outcome="error", message=str(exc))
             else:
@@ -521,6 +528,7 @@ class ScenarioRunner:
             trace_ref="trace.jsonl",
             generated_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
             run_dir=self.run_dir,
+            errors=self.errors,
         )
 
 

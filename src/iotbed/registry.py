@@ -26,12 +26,6 @@ class ElementRegistry:
                 raise RegistryError(f"duplicate element id {descriptor.id!r}")
             self._elements[descriptor.id] = descriptor
 
-    def unregister(self, element_id: str) -> None:
-        with self._lock:
-            if element_id not in self._elements:
-                raise RegistryError(f"unknown element id {element_id!r}")
-            del self._elements[element_id]
-
     def get(self, element_id: str) -> ElementDescriptor:
         with self._lock:
             try:
@@ -39,17 +33,9 @@ class ElementRegistry:
             except KeyError:
                 raise RegistryError(f"unknown element id {element_id!r}") from None
 
-    def __contains__(self, element_id: str) -> bool:
-        with self._lock:
-            return element_id in self._elements
-
     def ids(self) -> list[str]:
         with self._lock:
             return list(self._elements)
-
-    def all(self) -> list[ElementDescriptor]:
-        with self._lock:
-            return list(self._elements.values())
 
     def validate_action(self, action: Action) -> None:
         """Raise ValidationError unless the action is executable as declared."""

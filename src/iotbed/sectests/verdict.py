@@ -51,13 +51,16 @@ def grade_severity(grade: Grade) -> int:
     return _SEVERITY[grade]
 
 
-def ci_exit_code(highest: Grade | None) -> int:
+def ci_exit_code(highest: Grade | None, errors: int = 0) -> int:
     """The exit code for a run or scan whose most severe grade is highest
-    (None when nothing was graded): 1 from MODERATE_RISK up, which takes
-    in FAIL and UNSAFE, else 0."""
-    if highest is None:
-        return 0
-    return int(grade_severity(highest) >= grade_severity(Grade.MODERATE_RISK))
+    (None when nothing was graded) and in which `errors` actions erred:
+    1 when a risk was found, from MODERATE_RISK up, which takes in FAIL
+    and UNSAFE; else 2 when an action erred, since what it was to test
+    went untested; else 0."""
+    if highest is not None and \
+            grade_severity(highest) >= grade_severity(Grade.MODERATE_RISK):
+        return 1
+    return 2 if errors else 0
 
 
 def human_grade(grade: Grade) -> str:

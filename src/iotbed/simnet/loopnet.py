@@ -6,9 +6,12 @@ both backends run one device model and differ only in clock and
 transport, wall time against virtual time and sockets against in-process
 calls.  Each open virtual port becomes a threaded TCP server on an
 OS-assigned loopback port; requests travel as length-prefixed frames and
-are answered by the device's ServiceEngine.  Timing here is NOT
-deterministic; the memory backend is the one with reproducibility
-guarantees.
+are answered by the device's ServiceEngine.  A proxy acts at the client
+connection, as on the memory backend: LoopConnection.request runs each
+frame through the device's request and response paths with the same drop
+and corrupt accounting, so a dropped request is neither recorded nor sent
+and returns at once.  Timing here is NOT deterministic; the memory
+backend is the one with reproducibility guarantees.
 
 One lock, LoopbackNetwork.lock, guards the devices and the tap: every
 clock callback, every engine.handle and every emit runs under it.
@@ -28,8 +31,8 @@ from ..errors import TransportError
 from .clock import WallClock
 from .context import ContextEvent
 from .devspec import DeviceSpec
-from .memnet import (DeviceHandle, MemoryNetwork, ProxyMutator, _DeviceActor,
-                     _flip_bits, _Network, _PathState, _Proxy)
+from .memnet import (DeviceHandle, MemoryNetwork, _DeviceActor, _mutate,
+                     _Network)
 
 FRAME_HEAD = struct.Struct(">I")
 REQUEST_TIMEOUT_S = 2.0
@@ -91,78 +94,15 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                     return
 
 
-def _mutate(path: _PathState, mutator: ProxyMutator,
-            data: bytes) -> bytes | None:
-    """One frame through one proxy direction; None when it is dropped."""
-    if path.should_drop(mutator.drop_rate):
-        return None
-    if path.should_corrupt(mutator.corrupt_rate):
-        return _flip_bits(data)
-    return data
-
-
-class _Relay(socketserver.ThreadingTCPServer):
-    """Frame-level proxy applying a device's _Proxy between client and port."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, lock: threading.Lock, upstream_port: int,
-                 proxy: _Proxy):
-        self.lock = lock
-        self.upstream_port = upstream_port
-        self.proxy = proxy
-        super().__init__(("127.0.0.1", 0), _RelayHandler)
-
-
-class _RelayHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        relay: _Relay = self.server
-        proxy = relay.proxy
-        upstream = socket.socket()
-        upstream.settimeout(REQUEST_TIMEOUT_S)
-        try:
-            upstream.connect(("127.0.0.1", relay.upstream_port))
-        except OSError:
-            return
-        with upstream:
-            while True:
-                data = _recv_frame(self.request)
-                if data is None:
-                    return
-                with relay.lock:
-                    data = _mutate(proxy.request_path, proxy.mutator, data)
-                if data is None:
-                    continue
-                try:
-                    _send_frame(upstream, data)
-                    reply = _recv_frame(upstream)
-                except OSError:
-                    return
-                if reply is None:
-                    continue
-                with relay.lock:
-                    reply = _mutate(proxy.response_path, proxy.mutator, reply)
-                if reply is None:
-                    continue
-                if proxy.mutator.delay_ms > 0:
-                    time.sleep(proxy.mutator.delay_ms / 1000.0)
-                try:
-                    _send_frame(self.request, reply)
-                except OSError:
-                    return
-
-
 class LoopConnection:
     def __init__(self, net: "LoopbackNetwork", sock: socket.socket, src: str,
-                 src_port: int, dst: str, dst_port: int, banner: str):
+                 src_port: int, dst: str, dst_port: int):
         self.net = net
         self.sock = sock
         self.src = src
         self.src_port = src_port
         self.dst = dst
         self.dst_port = dst_port
-        self.banner = banner
         self.closed = False
 
     def request(self, data: bytes, kind: str = "request") -> bytes | None:
@@ -170,6 +110,11 @@ class LoopConnection:
             raise TransportError("connection closed")
         net = self.net
         with net.lock:
+            proxy = net.proxy_for(self.dst)
+            if proxy is not None:
+                data = _mutate(proxy.request_path, proxy.mutator, data)
+                if data is None:
+                    return None
             net.emit(src=self.src, src_port=self.src_port, dst=self.dst,
                      dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
         try:
@@ -177,6 +122,11 @@ class LoopConnection:
             reply = _recv_frame(self.sock)
         except OSError:
             return None
+        if reply is not None and proxy is not None:
+            with net.lock:
+                reply = _mutate(proxy.response_path, proxy.mutator, reply)
+            if reply is not None:
+                net.observe(proxy.mutator.delay_ms / 1000.0)
         if reply is None:
             return None
         with net.lock:
@@ -217,7 +167,6 @@ class LoopbackNetwork(_Network):
         super().__init__(seed, WallClock(self.lock))
         self._ports: dict[str, dict[int, int]] = {}   # device: virtual->real
         self._servers: list[_FrameServer] = []
-        self._relays: dict[str, dict[int, _Relay]] = {}
 
     # Records are stamped exactly as on the memory backend; every caller
     # holds self.lock.
@@ -257,8 +206,7 @@ class LoopbackNetwork(_Network):
         with self.lock:
             self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
                       ttl=64, kind="probe", payload=b"")
-        relay = self._relays.get(dst, {}).get(port)
-        real = relay.server_address[1] if relay else self._ports[dst].get(port)
+        real = self._ports[dst].get(port)
         if real is None or not actor.state.alive:
             return None
         opened = _open_port(real)
@@ -268,8 +216,7 @@ class LoopbackNetwork(_Network):
         with self.lock:
             self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
                       ttl=actor.ttl(), kind="banner", payload=banner)
-        return LoopConnection(self, sock, src, src_port, dst, port,
-                              banner.decode("ascii", "replace"))
+        return LoopConnection(self, sock, src, src_port, dst, port)
 
     def scan_ports(self, src: str, dst: str,
                    ports: list[int] | range) -> list[tuple[int, str]]:
@@ -294,23 +241,8 @@ class LoopbackNetwork(_Network):
             found.append((port, banner.decode("ascii", "replace")))
         return sorted(found)
 
-    # -- proxy -----------------------------------------------------------
-    def proxy(self, device_id: str, mutator: ProxyMutator) -> None:
-        super().proxy(device_id, mutator)
-        relays = self._relays[device_id] = {}
-        for vport, real in self._ports[device_id].items():
-            relay = _Relay(self.lock, real, self._proxies[device_id])
-            relays[vport] = relay
-            threading.Thread(target=relay.serve_forever, daemon=True).start()
-
-    def unproxy(self, device_id: str) -> None:
-        super().unproxy(device_id)
-        _stop_servers(list(self._relays.pop(device_id, {}).values()))
-
     def shutdown(self) -> None:
         self.clock.shutdown()
-        for device_id in list(self._relays):
-            self.unproxy(device_id)
         _stop_servers(self._servers)
 
 

@@ -77,6 +77,16 @@ def _flip_bits(data: bytes) -> bytes:
     return bytes(out)
 
 
+def _mutate(path: _PathState, mutator: ProxyMutator,
+            data: bytes) -> bytes | None:
+    """One frame through one proxy direction; None when it is dropped."""
+    if path.should_drop(mutator.drop_rate):
+        return None
+    if path.should_corrupt(mutator.corrupt_rate):
+        return _flip_bits(data)
+    return data
+
+
 class _Proxy:
     def __init__(self, mutator: ProxyMutator):
         self.mutator = mutator
@@ -167,17 +177,15 @@ class _DeviceActor:
     def _make_packet_event(self, src_port: int, payload: bytes,
                            kind: str = "background",
                            dst_port: int = CLOUD_PORT):
-        def fire(mutated: bool = False):
+        def fire():
             if not self.state.alive:
                 return
             data = payload
             proxy = self.net.proxy_for(self.spec.device_id)
-            if proxy is not None and not mutated:
-                path = proxy.background_path
-                if path.should_drop(proxy.mutator.drop_rate):
+            if proxy is not None:
+                data = _mutate(proxy.background_path, proxy.mutator, data)
+                if data is None:
                     return
-                if path.should_corrupt(proxy.mutator.corrupt_rate):
-                    data = _flip_bits(data)
                 if proxy.mutator.delay_ms > 0:
                     delayed = data
                     self.net.clock.schedule(
@@ -301,13 +309,12 @@ class MemConnection:
     """One client connection to a device port on the virtual transport."""
 
     def __init__(self, net: "MemoryNetwork", src: str, src_port: int,
-                 dst: str, dst_port: int, banner: str):
+                 dst: str, dst_port: int):
         self.net = net
         self.src = src
         self.src_port = src_port
         self.dst = dst
         self.dst_port = dst_port
-        self.banner = banner
         self.closed = False
 
     def request(self, data: bytes, kind: str = "request") -> bytes | None:
@@ -318,27 +325,21 @@ class MemConnection:
         actor = net.actors[self.dst]
         proxy = net.proxy_for(self.dst)
         if proxy is not None:
-            if proxy.request_path.should_drop(proxy.mutator.drop_rate):
+            data = _mutate(proxy.request_path, proxy.mutator, data)
+            if data is None:
                 net.clock.advance(RTT_S)
                 return None
-            if proxy.request_path.should_corrupt(proxy.mutator.corrupt_rate):
-                data = _flip_bits(data)
         net.emit(src=self.src, src_port=self.src_port, dst=self.dst,
                  dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
         net.clock.advance(RTT_S / 2)
         reply = actor.engine.handle(self.dst_port, data)
+        if reply is not None and proxy is not None:
+            reply = _mutate(proxy.response_path, proxy.mutator, reply)
         if reply is None:
             net.clock.advance(RTT_S / 2)
             return None
-        if proxy is not None:
-            if proxy.response_path.should_drop(proxy.mutator.drop_rate):
-                net.clock.advance(RTT_S / 2)
-                return None
-            if proxy.response_path.should_corrupt(proxy.mutator.corrupt_rate):
-                reply = _flip_bits(reply)
-            net.clock.advance(RTT_S / 2 + proxy.mutator.delay_ms / 1000.0)
-        else:
-            net.clock.advance(RTT_S / 2)
+        delay_s = 0.0 if proxy is None else proxy.mutator.delay_ms / 1000.0
+        net.clock.advance(RTT_S / 2 + delay_s)
         net.emit(src=self.dst, src_port=self.dst_port, dst=self.src,
                  dst_port=self.src_port, ttl=actor.ttl(), kind="response",
                  payload=reply)
@@ -353,7 +354,6 @@ class CaptureHandle:
         self.handle_id = handle_id
         self.scope = scope              # None means all devices
         self.start_idx = start_idx
-        self.open = True
 
 
 class _Network:
@@ -435,7 +435,6 @@ class _Network:
         if handle.handle_id not in self._captures:
             raise TransportError("unknown capture handle")
         del self._captures[handle.handle_id]
-        handle.open = False
         records = self.tap.since(handle.start_idx)
         if handle.scope is None:
             return records
@@ -498,7 +497,7 @@ class MemoryNetwork(_Network):
         self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
                   ttl=actor.ttl(), kind="banner",
                   payload=banner.encode("ascii"))
-        return MemConnection(self, src, src_port, dst, port, banner)
+        return MemConnection(self, src, src_port, dst, port)
 
     def scan_ports(self, src: str, dst: str,
                    ports: list[int] | range) -> list[tuple[int, str]]:

@@ -75,17 +75,6 @@ class TraceLog:
                 self._closed = True
                 self._fh.close()
 
-    def __enter__(self) -> "TraceLog":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._seq
-
 
 def read_trace(path: str) -> list[TraceEntry]:
     entries = []

@@ -49,10 +49,29 @@ def test_run_bad_port_list_errs_the_action(run_layout, capsys):
         "test: scan\n"
         "action: USER, port_risk, TEST, {target=cam1, ports=abc}\n")
     runs = run_layout / "runs"
-    main(["run", str(run_layout / "ports.scn"), "--runs-dir", str(runs)])
-    assert "run complete" in capsys.readouterr().out
+    code = main(["run", str(run_layout / "ports.scn"), "--runs-dir",
+                 str(runs)])
+    out = capsys.readouterr().out
+    assert "run complete" in out
+    assert out.endswith("highest=- errors=1\n")
+    # nothing was tested, so the run is not clean
+    assert code == 2
     entry, = read_trace(str(runs / os.listdir(runs)[0] / "trace.jsonl"))
     assert entry.outcome == "error" and "'abc'" in entry.message
+
+
+def test_run_criteria_option_without_parameter_is_an_input_error(
+        run_layout, capsys):
+    (run_layout / "crit.scn").write_text(
+        "scenario: s\noption: devices=cam.dev\n"
+        "option: criteria.port_risk=5\n"
+        "test: t\naction: USER, cam1, TEST, {}\n")
+    code = main(["run", str(run_layout / "crit.scn"), "--runs-dir",
+                 str(run_layout / "runs")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: criteria.port_risk: criteria option names "
+                   "no parameter\n")
 
 
 def test_report_rerender_is_byte_identical(run_layout, capsys):

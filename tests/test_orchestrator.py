@@ -91,12 +91,14 @@ def test_unknown_dut_rejected(tmp_path):
 
 
 def test_criteria_option_for_unknown_kind_rejected(tmp_path):
-    runner = run_dir_scenario(
-        tmp_path, "scenario: s\noption: devices=cam.dev\n"
-        "option: criteria.made_up.threshold=3\n"
-        "test: t\naction: USER, cam1, TEST, {}\n")
-    with pytest.raises(ScenarioError, match="made_up"):
-        runner.run()
+    # an unknown test kind, and a known one without a parameter name
+    for key in ("criteria.made_up.threshold", "criteria.port_risk"):
+        runner = run_dir_scenario(
+            tmp_path, "scenario: s\noption: devices=cam.dev\n"
+            f"option: {key}=3\n"
+            "test: t\naction: USER, cam1, TEST, {}\n")
+        with pytest.raises(ScenarioError, match=f"^{key}: "):
+            runner.run()
 
 
 def test_unknown_backend_rejected(tmp_path):
@@ -162,7 +164,9 @@ action: USER, cam1, TEST, {}
     assert "9999" in entries[0].message
     # only the action that ran contributes a verdict
     assert len(report.verdicts()) == 1
-    assert report.exit_code() == 0
+    # no risk was found, but an action erred: not a clean run
+    assert report.errors == 1
+    assert report.exit_code() == 2
 
 
 def test_bad_runtime_param_is_an_error_entry_not_a_crash(tmp_path):

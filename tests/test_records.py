@@ -1,6 +1,7 @@
 """The key=value codec: pinned memory-backend output and seeded corruption
 of every artifact and input file."""
 
+import ast
 import hashlib
 import json
 import os
@@ -283,3 +284,20 @@ def test_corrupted_files_under_python_O(files, tmp_path):
     for (_, argv), code in zip(cases, codes):
         assert code in ((0, 1, 2) if "run" in argv else (0, 2)), argv
     assert 2 in codes
+
+
+def test_source_has_no_assert_statements():
+    # `python -O` strips asserts, so no check in the package may be one
+    package = os.path.dirname(iotbed.__file__)
+    found = []
+    for folder, _, names in os.walk(package):
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            found += [f"{os.path.relpath(path, package)}:{node.lineno}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

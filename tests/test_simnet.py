@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from iotbed.simnet.context import (
     load_trajectory,
 )
 from iotbed.simnet.devspec import DeviceSpec, load_device_spec
-from iotbed.simnet.loopnet import LoopbackNetwork
+from iotbed.simnet.loopnet import REQUEST_TIMEOUT_S, LoopbackNetwork
 from iotbed.simnet.memnet import MemoryNetwork, ProxyMutator
 from iotbed.simnet.payload import (
     encrypted_payload,
@@ -610,6 +611,45 @@ def test_backends_simulate_the_same_device():
     assert memory["noise"] == 3
     assert memory["ttls"] == [("cam9", 128), ("hub9", 255)]
     assert _conformance_facts(LoopbackNetwork(seed=5)) == memory
+
+
+def _proxied_login_facts(net, mutator):
+    """Banner, reply prefixes and client-side record kinds of four logins
+    through a proxy."""
+    try:
+        for i, spec in enumerate(load_text(load_device_spec,
+                                           CONFORMANCE_TEXT)):
+            net.spawn_device(spec, dut=(i == 0))
+        net.proxy("cam9", mutator)
+        start = len(net.tap)
+        conn = net.connect("tester", "cam9", 23)
+        replies = [conn.request(b"LOGIN root root", kind="login")
+                   for _ in range(4)]
+        conn.close()
+        # background and noise follow the clock, not the connection
+        records = [r for r in net.tap.records[start:]
+                   if r.kind not in ("background", "noise")]
+        return {
+            "banner": next(r.payload for r in records if r.kind == "banner"),
+            "replies": [r if r is None else r[:8] for r in replies],
+            "kinds": [r.kind for r in records],
+        }
+    finally:
+        if hasattr(net, "shutdown"):
+            net.shutdown()
+
+
+@pytest.mark.parametrize("mutator", [ProxyMutator(corrupt_rate=0.5),
+                                     ProxyMutator(drop_rate=0.5)],
+                         ids=["corrupt", "drop"])
+def test_backends_apply_a_proxy_alike(mutator):
+    memory = _proxied_login_facts(MemoryNetwork(seed=5), mutator)
+    assert memory["banner"] == b"BusyBox v1.19 telnetd"
+    assert memory["replies"][0] == b"OK token"
+    began = time.monotonic()
+    loopback = _proxied_login_facts(LoopbackNetwork(seed=5), mutator)
+    assert time.monotonic() - began < REQUEST_TIMEOUT_S
+    assert loopback == memory
 
 
 def _burst_starts(net):
