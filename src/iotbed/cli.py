@@ -16,7 +16,6 @@ import sys
 
 from .config import CliConfig, load_config
 from .errors import TestbedError
-from .model import ElementKind
 from .orchestrator import (RunOptions, builtin_descriptors, device_descriptor,
                            render_report, run_scenario)
 from .profiler import (TrainParams, confusion_matrix, extract_features,
@@ -28,15 +27,16 @@ from .scenario import load_scenario
 from .sectests import (ci_exit_code, format_score, human_grade,
                        load_attack_db, load_score_list, load_vuln_db,
                        parse_ports, score_ports)
-from .simnet import (LoopbackNetwork, MemoryNetwork, load_device_spec,
-                     read_capture)
+from .simnet import BACKENDS, load_device_spec, read_capture
 
 FORMATS_HELP = """\
 file formats:
   scenario (.scn)     line directives: scenario:, option: k=v, template_dir:,
                       test: NAME, phase: standard|context,
                       action: INITIATOR, ELEMENT, COMMAND, {k=v, ...},
-                      use: TEMPLATE (TEMPLATE.test: action: lines only)
+                      use: TEMPLATE (TEMPLATE.test: action: lines only);
+                      option keys: devices, dut, baseline_s, window_s, k,
+                      profile_model, criteria.<test>.<param>
   device spec (.dev)  device: ID k=v ... followed by port:/os:/app:/traffic:/
                       timing_range:/robustness:/encryption:/introspection:/
                       stored_data:/monitor:/compromise:/false_alarm: lines
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="config file path "
                         "(or $IOTBED_CONFIG)")
-    parser.add_argument("--backend", choices=("memory", "loopback"),
+    parser.add_argument("--backend", choices=tuple(BACKENDS),
                         help="transport backend override")
     parser.add_argument("--seed", type=int, default=None,
                         help="deterministic run seed")
@@ -136,8 +136,7 @@ def _run_options(args, config: CliConfig) -> RunOptions:
 
 def cmd_run(args, config: CliConfig) -> int:
     scenario = load_scenario(args.scenario)
-    base_dir = os.path.dirname(os.path.abspath(args.scenario))
-    report = run_scenario(scenario, base_dir, _run_options(args, config))
+    report = run_scenario(scenario, _run_options(args, config))
     print(f"run complete: {report.run_id}")
     print(f"report: {os.path.join(report.run_dir, 'report.txt')}")
     print(f"pass={report.overall['pass_count']} "
@@ -161,15 +160,12 @@ def cmd_scan(args, config: CliConfig) -> int:
         if config.score_list_path else None)
     backend = args.backend or config.transport_backend
     seed = args.seed if args.seed is not None else 0
-    net = MemoryNetwork(seed=seed) if backend == "memory" else \
-        LoopbackNetwork(seed=seed)
+    net = BACKENDS[backend](seed=seed)
     try:
         net.spawn_device(spec)
         found = net.scan_ports("scanner", spec.device_id, args.ports)
     finally:
-        shutdown = getattr(net, "shutdown", None)
-        if shutdown:
-            shutdown()
+        net.shutdown()
     assessment = score_ports([p for p, _ in found], score_list)
     print(f"Overall Results ({spec.device_id})")
     print(f"  Open ports: "

@@ -8,10 +8,9 @@ from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .records import load
+from .simnet import BACKENDS
 
 ENV_CONFIG = "IOTBED_CONFIG"
-
-BACKENDS = ("memory", "loopback")
 
 
 @dataclass
@@ -28,7 +27,7 @@ class CliConfig:
     def validate(self) -> None:
         if self.transport_backend not in BACKENDS:
             raise ValidationError(
-                f"transport_backend must be one of {BACKENDS}, "
+                f"transport_backend must be one of {tuple(BACKENDS)}, "
                 f"got {self.transport_backend!r}")
         if self.default_k <= 0 or self.default_window_s <= 0:
             raise ValidationError("default_k and default_window_s must be "

@@ -5,17 +5,9 @@ class TestbedError(Exception):
     """Base class for all testbed errors."""
 
 
-class ScenarioError(TestbedError):
-    """A scenario that parsed but cannot run: no `devices` option, a dut
-    missing from the device file, or criteria for an unknown test kind."""
-
-
 class ValidationError(TestbedError):
-    """Action or object failed validation against the registry/schema."""
-
-
-class RegistryError(TestbedError):
-    """Element registry conflict (duplicate id, unknown id)."""
+    """An object or run option failed validation, or an action parameter
+    failed its check when the action ran."""
 
 
 class TraceError(TestbedError):

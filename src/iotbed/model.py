@@ -5,7 +5,7 @@ types: a Scenario is an ordered set of Tests, a Test an ordered set of
 Actions, and an Action a 4-tuple <initiator, element, command, params>.
 Element descriptors pair an id with a driver manifest saying which commands
 (and which parameters) the element accepts.  Parsing and serialization of
-scenario files live in scenario.py; the registry in registry.py.
+scenario files live in scenario.py, checking them in orchestrator.py.
 """
 
 from __future__ import annotations
@@ -55,6 +55,11 @@ class Phase(str, Enum):
     CONTEXT = "context"
 
 
+# The file and line a scenario part was read from; not part of equality, so
+# one scenario read from two files compares equal.
+Origin = tuple[str, int]
+
+
 @dataclass(frozen=True)
 class Action:
     """One testing operation: <initiator, element, command, params>."""
@@ -63,6 +68,7 @@ class Action:
     element: str
     command: Command
     params: tuple[tuple[str, ParamValue], ...] = ()
+    origin: Origin | None = field(default=None, compare=False, repr=False)
 
     def param_dict(self) -> dict[str, ParamValue]:
         return dict(self.params)
@@ -72,7 +78,8 @@ class Action:
 
 
 def make_action(initiator: str, element: str, command: str | Command,
-                params: dict[str, ParamValue] | None = None) -> Action:
+                params: dict[str, ParamValue] | None = None,
+                origin: Origin | None = None) -> Action:
     """Build an Action, rejecting commands outside the closed set."""
     if isinstance(command, Command):
         cmd = command
@@ -81,7 +88,8 @@ def make_action(initiator: str, element: str, command: str | Command,
             raise ValidationError(f"unknown command {command!r}")
         cmd = Command(command)
     items = tuple((params or {}).items())
-    return Action(initiator=initiator, element=element, command=cmd, params=items)
+    return Action(initiator=initiator, element=element, command=cmd,
+                  params=items, origin=origin)
 
 
 @dataclass(frozen=True)
@@ -99,11 +107,15 @@ class Test:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, ordered, non-empty set of tests plus run options."""
+    """A named, ordered, non-empty set of tests plus run options.  origin
+    is the `scenario:` line; option_lines has the line of each option key."""
 
     name: str
     tests: tuple[Test, ...]
     options: tuple[tuple[str, ParamValue], ...] = ()
+    origin: Origin = field(default=("", 0), compare=False, repr=False)
+    option_lines: dict[str, int] = field(default_factory=dict, compare=False,
+                                         repr=False)
 
     def __post_init__(self):
         if not self.tests:
@@ -151,9 +163,6 @@ class ElementDescriptor:
     kind: ElementKind
     driver: dict[Command, ParamSchema] = field(default_factory=dict)
     description: str = ""
-
-    def supports(self, command: Command) -> bool:
-        return command in self.driver
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ location/time scripts driving the simulated network), phase 3 the forensic
 analysis plus optional profiling, then the report.  Every action leaves
 exactly one trace entry; a failing action errs its enclosing test and the
 remaining actions of that test are logged as skipped, but the run carries
-on with the next test.  Validation problems, and a malformed trajectory,
-abort before anything runs.
+on with the next test.  Before any network or run directory exists,
+validate() checks every option, the devices file and dut, and each action
+against the element table, and loads the trajectories and profile model;
+a failure is AnalysisError("<path>:<line>: ...") at the scenario or
+template line at fault, or in the named file.  Action parameter values
+(advance_s, port, ports) are checked when the action runs.
 
 All artifacts of one run live in a per-run directory: the scenario copy,
 trace, captures, status series, window statistics, findings, and the
@@ -18,6 +22,7 @@ run is byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
@@ -27,20 +32,18 @@ from dataclasses import dataclass, field
 from .analysis import (DEFAULT_K, DEFAULT_WINDOW_S, AttackFinding,
                        analyze_run, build_baseline, window_series,
                        write_findings, write_window_stats)
-from .errors import ScenarioError, TestbedError, ValidationError
-from .model import (USER, Action, Command, ElementDescriptor, ElementKind,
+from .errors import TestbedError, ValidationError
+from .model import (Action, Command, ElementDescriptor, ElementKind,
                     ParamSchema, Phase, Scenario, Test)
 from .profiler import (ProfileDistribution, load_model, profile_device,
                        profile_pairs)
-from .records import dumps, load
-from .registry import ElementRegistry
+from .records import Source, dumps, load
 from .sectests import (CLEAN_GRADES, FAILED_GRADES, PLUGINS, Grade,
                        PluginContext, RawResult, Verdict, ci_exit_code,
                        format_score, highest_risk, human_grade, judge,
-                       load_attack_db, load_score_list, load_vuln_db,
                        score_ports)
-from .simnet import (LoopbackNetwork, MemoryNetwork, load_device_spec,
-                     load_trajectory, write_capture, write_status)
+from .simnet import (BACKENDS, load_device_spec, load_trajectory,
+                     write_capture, write_status)
 from .trace import TraceLog
 
 CLOCK = "CLOCK"
@@ -101,8 +104,8 @@ def default_criteria() -> dict[str, dict]:
 
 
 def _number(params: dict, key: str, default: float | None = None) -> float:
-    """params[key], or default, as a float; a scenario option or action
-    parameter that is not a number raises ValidationError."""
+    """params[key], or default, as a float; an action parameter that is
+    not a number raises ValidationError, which errs that action."""
     value = params.get(key, default)
     try:
         return float(value)
@@ -167,12 +170,10 @@ class RunOptions:
 # ---------------------------------------------------------------------------
 
 class ScenarioRunner:
-    def __init__(self, scenario: Scenario, base_dir: str,
-                 options: RunOptions | None = None):
+    def __init__(self, scenario: Scenario, options: RunOptions | None = None):
         self.scenario = scenario
-        self.base_dir = base_dir or "."
         self.options = options or RunOptions()
-        self.registry = ElementRegistry()
+        self.elements: dict[str, ElementDescriptor] = {}
         self.net = None
         self.trace = None
         self.run_dir = ""
@@ -187,23 +188,76 @@ class ScenarioRunner:
         self.measure_counter = 0
         self.errors = 0
         self.baseline_s = DEFAULT_BASELINE_S
-        self.profile_model_path = ""
+        self.window_s = self.options.window_s
+        self.k = self.options.k
+        self.profile_model = None
         self.context_log = []
-        self.trajectories: dict[str, list] = {}    # path -> its events
+        self.trajectories: dict[str, list] = {}    # file param -> its events
 
-    # -- setup ----------------------------------------------------------
+    # -- validation ------------------------------------------------------
 
-    def _resolve(self, path: str) -> str:
-        return path if os.path.isabs(path) else \
-            os.path.join(self.base_dir, path)
+    def _load(self, loader, name):
+        """loader(path) for a file the scenario names, relative to the
+        scenario's own folder; ValueError if it cannot be read, so that the
+        line naming it is reported."""
+        folder = os.path.dirname(os.path.abspath(self.scenario.origin[0]))
+        path = os.path.join(folder, str(name))
+        try:
+            return loader(path)
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: "
+                             f"{exc.strerror or exc}") from None
 
-    def _apply_options(self):
-        opts = self.scenario.option_dict()
-        self.baseline_s = _number(opts, "baseline_s", DEFAULT_BASELINE_S)
-        self.options.window_s = _number(opts, "window_s",
-                                        self.options.window_s)
-        self.options.k = _number(opts, "k", self.options.k)
-        self.profile_model_path = str(opts.get("profile_model", ""))
+    def _check_option(self, key: str, value):
+        if key in ("baseline_s", "window_s", "k"):    # attributes of self
+            if isinstance(value, str) or not math.isfinite(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            positive = key != "baseline_s"
+            if value < 0 or (positive and value == 0):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{key} must be {bound}, got {value}")
+            setattr(self, key, float(value))
+        elif key.startswith("criteria."):
+            kind, _, name = key[len("criteria."):].partition(".")
+            if kind not in self.criteria_config:
+                raise ValueError(f"{key}: criteria for unknown test {kind!r}")
+            if not name:
+                raise ValueError(f"{key}: criteria option names no parameter")
+            self.criteria_config[kind][name] = value
+        elif key not in ("devices", "dut", "profile_model"):
+            raise ValueError(f"unknown option {key!r}")
+
+    def _check_action(self, action: Action):
+        desc = self.elements.get(action.element)
+        if desc is None:
+            raise ValueError(f"unknown element {action.element!r}")
+        schema = desc.driver.get(action.command)
+        if schema is None:
+            raise ValueError(f"element {action.element!r} does not support "
+                             f"{action.command.value}")
+        try:
+            schema.check(action.param_dict())
+        except ValidationError as exc:
+            raise ValueError(
+                f"{action.element}/{action.command.value}: {exc}") from None
+        if desc.kind is ElementKind.SECURITY_TEST:
+            target = str(action.get("target"))
+            if target not in (d.device_id for d in self.device_specs):
+                raise ValueError(f"{action.element}: unknown target "
+                                 f"{target!r}")
+        if action.element == GPS_SIM and action.command is Command.START:
+            name = str(action.get("file"))
+            if name not in self.trajectories:
+                self.trajectories[name] = self._load(load_trajectory, name)
+
+    def validate(self):
+        """Check the scenario before any network or run directory exists
+        (see the module docstring), keeping what the run needs: the typed
+        options and criteria, the device specs and element table, the
+        trajectories and the profile model."""
+        if self.options.backend not in BACKENDS:
+            raise ValidationError(
+                f"unknown backend {self.options.backend!r}")
         if self.options.score_list:
             self.criteria_config["port_risk"]["score_list"] = \
                 self.options.score_list
@@ -213,54 +267,45 @@ class ScenarioRunner:
         if self.options.attack_db:
             self.criteria_config["vulnerability_probe"]["attack_db"] = \
                 self.options.attack_db
-        for key, value in opts.items():
-            if key.startswith("criteria."):
-                kind, _, name = key[len("criteria."):].partition(".")
-                if kind not in self.criteria_config:
-                    raise ScenarioError(
-                        f"{key}: criteria for unknown test {kind!r}")
-                if not name:
-                    raise ScenarioError(
-                        f"{key}: criteria option names no parameter")
-                self.criteria_config[kind][name] = value
-
-    def _spawn_devices(self):
+        path, line = self.scenario.origin
+        lines = self.scenario.option_lines
         opts = self.scenario.option_dict()
-        devices_path = opts.get("devices")
-        if not devices_path:
-            raise ScenarioError("scenario needs an 'option: devices=<path>'")
-        self.device_specs = load_device_spec(self._resolve(str(devices_path)))
+
+        def at(key: str) -> Source:
+            return Source(path, lines.get(key, line))
+
+        for key, value in opts.items():
+            with at(key).parsing():
+                self._check_option(key, value)
+        if "devices" not in opts:
+            raise at("devices").error(
+                "scenario needs an 'option: devices=<path>'")
+        with at("devices").parsing():
+            self.device_specs = self._load(load_device_spec, opts["devices"])
+            self.elements = {d.id: d for d in builtin_descriptors()}
+            for spec in self.device_specs:
+                if spec.device_id in self.elements:
+                    raise ValueError(f"device {spec.device_id!r} has the id "
+                                     "of a builtin element")
+                self.elements[spec.device_id] = device_descriptor(spec)
         self.dut_id = str(opts.get("dut", self.device_specs[0].device_id))
-        ids = [d.device_id for d in self.device_specs]
-        if self.dut_id not in ids:
-            raise ScenarioError(f"dut {self.dut_id!r} not in device file")
-        for spec in self.device_specs:
-            self.net.spawn_device(spec, dut=(spec.device_id == self.dut_id))
-            self.registry.register(device_descriptor(spec))
-
-    def setup(self):
-        if self.options.backend == "memory":
-            self.net = MemoryNetwork(seed=self.options.seed)
-        elif self.options.backend == "loopback":
-            self.net = LoopbackNetwork(seed=self.options.seed)
-        else:
-            raise ValidationError(
-                f"unknown backend {self.options.backend!r}")
-        for desc in builtin_descriptors():
-            self.registry.register(desc)
-        self._apply_options()
-        self._spawn_devices()
-
-    def validate(self):
-        """Check every action of every test, and load every trajectory it
-        replays, before anything executes."""
+        if self.dut_id not in (d.device_id for d in self.device_specs):
+            raise at("dut").error(f"dut {self.dut_id!r} not in device file")
+        if str(opts.get("profile_model", "")):
+            with at("profile_model").parsing():
+                self.profile_model = self._load(load_model,
+                                                opts["profile_model"])
         for test in self.scenario.tests:
             for action in test.actions:
-                self.registry.validate_action(action)
-                if action.element == GPS_SIM and \
-                        action.command is Command.START:
-                    path = self._resolve(str(action.get("file")))
-                    self.trajectories[path] = load_trajectory(path)
+                with Source(*(action.origin or self.scenario.origin)) \
+                        .parsing():
+                    self._check_action(action)
+
+    def setup(self):
+        """The network of the validated scenario, its devices spawned."""
+        self.net = BACKENDS[self.options.backend](seed=self.options.seed)
+        for spec in self.device_specs:
+            self.net.spawn_device(spec, dut=(spec.device_id == self.dut_id))
 
     def _make_run_dir(self):
         stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -284,8 +329,6 @@ class ScenarioRunner:
         kind = action.element
         params = action.param_dict()
         target = str(params.pop("target"))
-        if target not in (d.device_id for d in self.device_specs):
-            raise ValidationError(f"{kind}: unknown target {target!r}")
         criteria = {**self.criteria_config[kind], **params}
         ctx = PluginContext(self.net, target, criteria,
                             self._measure_rng(kind, target), initiator=kind)
@@ -348,7 +391,7 @@ class ScenarioRunner:
             return f"advanced {seconds:g}s to t={self.net.now():.3f}", ()
         if action.element == GPS_SIM:
             if action.command is Command.START:
-                events = self.trajectories[self._resolve(str(params["file"]))]
+                events = self.trajectories[str(params["file"])]
                 self.net.advance_context(events)
                 self.context_log.extend(events)
                 return f"replayed {len(events)} context events", ()
@@ -370,7 +413,7 @@ class ScenarioRunner:
         raise ValidationError(f"unknown builtin {action.element!r}")
 
     def execute_action(self, test: Test, action: Action):
-        desc = self.registry.get(action.element)
+        desc = self.elements[action.element]
         if desc.kind is ElementKind.SECURITY_TEST:
             return self._exec_security_test(test, action)
         if desc.kind is ElementKind.DEVICE_UNDER_TEST:
@@ -399,9 +442,9 @@ class ScenarioRunner:
     # -- phases ----------------------------------------------------------
 
     def run(self) -> RunReport:
-        self.setup()
+        self.validate()
         try:
-            self.validate()        # abort before any action on failure
+            self.setup()
             self._make_run_dir()
             with open(os.path.join(self.run_dir, "scenario.scn"), "w",
                       encoding="utf-8") as fh:
@@ -414,9 +457,8 @@ class ScenarioRunner:
                 self.trace.close()
             return report
         finally:
-            shutdown = getattr(self.net, "shutdown", None)
-            if shutdown:
-                shutdown()
+            if self.net is not None:
+                self.net.shutdown()
 
     def _run_phases(self) -> RunReport:
         if self.baseline_s > 0:
@@ -448,7 +490,7 @@ class ScenarioRunner:
         samples = self.net.handle(self.dut_id).all_samples()
         write_status(samples, os.path.join(self.run_dir, "status.rec"))
 
-        w = self.options.window_s
+        w = self.window_s
         if self.baseline_s < 3 * w or p2_end - p2_start < w:
             return []
         organic = self._organic_records()
@@ -458,7 +500,7 @@ class ScenarioRunner:
             w, 0.0, self.baseline_s)
         anomalies, findings = analyze_run(
             organic, samples, self.context_log, baseline,
-            self.options.k, p2_start, p2_end)
+            self.k, p2_start, p2_end)
         n = int((p2_end - p2_start) // w)
         series = window_series(organic, samples, w, p2_start, n)
         write_window_stats(series, p2_start, w,
@@ -468,11 +510,11 @@ class ScenarioRunner:
         return findings
 
     def _profiling(self):
-        if not self.profile_model_path:
+        if self.profile_model is None:
             return None, ""
-        model = load_model(self._resolve(self.profile_model_path))
         try:
-            profile = profile_device(model, self._organic_records(),
+            profile = profile_device(self.profile_model,
+                                     self._organic_records(),
                                      self.dut_id)
         except TestbedError as exc:
             return None, str(exc)
@@ -532,9 +574,9 @@ class ScenarioRunner:
         )
 
 
-def run_scenario(scenario: Scenario, base_dir: str = ".",
+def run_scenario(scenario: Scenario,
                  options: RunOptions | None = None) -> RunReport:
-    return ScenarioRunner(scenario, base_dir, options).run()
+    return ScenarioRunner(scenario, options).run()
 
 
 # ---------------------------------------------------------------------------

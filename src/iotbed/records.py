@@ -26,11 +26,11 @@ def dumps(pairs) -> str:
 
 class Source:
     """The lines of a file, blank and # lines skipped, newlines kept; line
-    is the number of the line read last, or one past the end after it."""
+    is the number of the line read last (or given), or one past the end."""
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, line: int = 0):
         self.path = path
-        self.line = 0
+        self.line = line
 
     def __iter__(self):
         with open(self.path, encoding="utf-8") as fh:

@@ -3,11 +3,11 @@
 File format (one directive per line, `#` starts a comment):
 
     scenario: smart_home_audit
-    option: seed=7
+    option: devices=home.dev
     template_dir: templates
     test: port_sweep
     phase: standard
-    action: USER, SEC_SCAN, TEST, {target=cam01, port_range=1-65535}
+    action: USER, port_risk, TEST, {target=cam01, ports=1-65535}
     use: teardown
 
 `use: NAME` splices in the actions of `<template_dir>/NAME.test`, a file
@@ -15,7 +15,8 @@ holding only `action:` (and optional comment) lines.  A params block that is
 a single bare token, e.g. `{trajectory.cfg}`, is shorthand for `{file=...}`.
 Values parse as int, then float, then string.  A malformed scenario or
 template raises AnalysisError("<path>:<line>: ...") naming the file at
-fault and its own line.
+fault and its own line.  load_scenario checks syntax only; it records the
+line of each option and action for ScenarioRunner.validate to report at.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _parse_params(block: str) -> dict[str, ParamValue]:
     return params
 
 
-def _parse_action(body: str) -> Action:
+def _parse_action(body: str, source: Source) -> Action:
     brace = body.find("{")
     if brace < 0:
         raise ValueError("action needs a {params} block")
@@ -83,7 +84,8 @@ def _parse_action(body: str) -> Action:
     initiator, element, command = fields
     params = _parse_params(block)
     try:
-        return make_action(initiator, element, command, params)
+        return make_action(initiator, element, command, params,
+                           origin=(source.path, source.line))
     except ValidationError as exc:
         raise ValueError(str(exc)) from None
 
@@ -98,7 +100,7 @@ def _load_template(template_dir: str, name: str) -> list[Action]:
         for key, body in directives(source):
             if key != "action":
                 raise ValueError(f"template {name}: only action lines allowed")
-            actions.append(_parse_action(body))
+            actions.append(_parse_action(body, source))
         if not actions:
             raise ValueError(f"template {name} is empty")
     return actions
@@ -108,7 +110,9 @@ def load_scenario(path: str) -> Scenario:
     """The scenario file at path, its `use:` templates spliced in."""
     base_dir = os.path.dirname(os.path.abspath(path))
     name: str | None = None
+    name_line = 0
     options: list[tuple[str, ParamValue]] = []
+    option_lines: dict[str, int] = {}
     template_dir = base_dir
     tests: list[Test] = []
     cur_name: str | None = None
@@ -132,12 +136,14 @@ def load_scenario(path: str) -> Scenario:
                     raise ValueError("duplicate scenario directive")
                 if not body:
                     raise ValueError("scenario needs a name")
-                name = body
+                name, name_line = body, source.line
             elif key == "option":
                 if "=" not in body:
                     raise ValueError("option expects k=v")
                 k, _, v = body.partition("=")
-                options.append((k.strip(), _parse_value(v.strip())))
+                k = k.strip()
+                options.append((k, _parse_value(v.strip())))
+                option_lines[k] = source.line
             elif key == "template_dir":
                 template_dir = os.path.join(base_dir, body)
             elif key == "test":
@@ -154,7 +160,7 @@ def load_scenario(path: str) -> Scenario:
             elif key == "action":
                 if cur_name is None:
                     raise ValueError("action outside a test")
-                cur_actions.append(_parse_action(body))
+                cur_actions.append(_parse_action(body, source))
             elif key == "use":
                 if cur_name is None:
                     raise ValueError("use outside a test")
@@ -166,7 +172,8 @@ def load_scenario(path: str) -> Scenario:
             raise ValueError("missing scenario directive")
         if not tests:
             raise ValueError("scenario has no tests")
-    return Scenario(name=name, tests=tuple(tests), options=tuple(options))
+    return Scenario(name=name, tests=tuple(tests), options=tuple(options),
+                    origin=(path, name_line), option_lines=option_lines)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ from .loopnet import LoopbackNetwork
 from .memnet import DeviceHandle, MemoryNetwork, ProxyMutator
 from .status import InternalStatusSample, read_status, write_status
 
+# Transport backends by the name --backend, config files and RunOptions use.
+BACKENDS = {"memory": MemoryNetwork, "loopback": LoopbackNetwork}
+
 __all__ = [
+    "BACKENDS",
     "CaptureRecord", "CaptureTap", "read_capture", "write_capture",
     "VirtualClock",
     "ContextEvent", "ContextFeed", "ContextPredicate", "Day",

@@ -1,10 +1,11 @@
 """Traffic capture: the tap every transport record passes through.
 
-A CaptureRecord is one observed packet-level event.  Payload bytes are kept
-in memory for the checks that need them; the on-disk capture file stores
-one record per line with the exported field names (ts, src_addr, dst_addr,
-src_port, dst_port, proto, ttl, size, payload_entropy, payload_marker,
-direction) plus seq and kind for bookkeeping.
+A CaptureRecord is one observed packet-level event.  It keeps the payload's
+size, entropy and GPS marker, computed when it is built, not its bytes.
+The on-disk capture file stores one record per line with the exported
+field names (ts, src_addr, dst_addr, src_port, dst_port, proto, ttl, size,
+payload_entropy, payload_marker, direction) plus seq and kind for
+bookkeeping.
 
 The transport counts every record it emits; comparing that counter with
 the tap length is the capture-completeness invariant the tests lean on.
@@ -33,7 +34,6 @@ class CaptureRecord:
     payload_marker: str | None
     direction: str             # to_dut | from_dut | lateral
     kind: str = ""             # probe | banner | request | response | ...
-    payload: bytes | None = None
 
     @classmethod
     def build(cls, seq: int, ts: float, src_addr: str, src_port: int,
@@ -44,7 +44,7 @@ class CaptureRecord:
                    src_port=src_port, dst_port=dst_port, proto=proto, ttl=ttl,
                    size=len(payload), payload_entropy=shannon_entropy(payload),
                    payload_marker=find_gps_marker(payload),
-                   direction=direction, kind=kind, payload=payload)
+                   direction=direction, kind=kind)
 
 
 def classify_direction(src: str, dst: str, dut_ids: set[str]) -> str:
@@ -104,7 +104,7 @@ def _capture_record(kv: dict[str, str]) -> CaptureRecord:
         dst_port=int(kv["dst_port"]), proto=kv["proto"], ttl=int(kv["ttl"]),
         size=int(kv["size"]), payload_entropy=float(kv["payload_entropy"]),
         payload_marker=None if marker == "-" else marker,
-        direction=kv["direction"], kind=kv.get("kind", ""), payload=None)
+        direction=kv["direction"], kind=kv.get("kind", ""))
 
 
 def read_capture(path: str) -> list[CaptureRecord]:

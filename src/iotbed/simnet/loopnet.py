@@ -6,12 +6,15 @@ both backends run one device model and differ only in clock and
 transport, wall time against virtual time and sockets against in-process
 calls.  Each open virtual port becomes a threaded TCP server on an
 OS-assigned loopback port; requests travel as length-prefixed frames and
-are answered by the device's ServiceEngine.  A proxy acts at the client
-connection, as on the memory backend: LoopConnection.request runs each
-frame through the device's request and response paths with the same drop
-and corrupt accounting, so a dropped request is neither recorded nor sent
-and returns at once.  Timing here is NOT deterministic; the memory
-backend is the one with reproducibility guarantees.
+are answered by the device's ServiceEngine, one frame per request; an
+empty frame stands for no reply (the engine's replies are never empty),
+so an unanswered request returns at once, as on the memory backend.  A
+proxy acts at the client connection, as on the memory backend:
+LoopConnection.request runs each frame through the device's request and
+response paths with the same drop and corrupt accounting, so a dropped
+request is neither recorded nor sent and returns at once.  Timing here is
+NOT deterministic; the memory backend is the one with reproducibility
+guarantees.
 
 One lock, LoopbackNetwork.lock, guards the devices and the tap: every
 clock callback, every engine.handle and every emit runs under it.
@@ -87,11 +90,10 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                 reply = actor.engine.handle(server.vport, data)
             if not actor.state.alive:
                 return
-            if reply is not None:
-                try:
-                    _send_frame(self.request, reply)
-                except OSError:
-                    return
+            try:
+                _send_frame(self.request, reply or b"")
+            except OSError:
+                return
 
 
 class LoopConnection:
@@ -119,7 +121,7 @@ class LoopConnection:
                      dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
         try:
             _send_frame(self.sock, data)
-            reply = _recv_frame(self.sock)
+            reply = _recv_frame(self.sock) or None
         except OSError:
             return None
         if reply is not None and proxy is not None:
@@ -151,7 +153,7 @@ def _open_port(real_port: int) -> tuple[socket.socket, bytes] | None:
         banner = _recv_frame(sock)
     except OSError:
         banner = None
-    if banner is None:
+    if not banner:
         sock.close()
         return None
     return sock, banner

@@ -448,6 +448,9 @@ class _Network:
         log.sort(key=lambda w: w.t_start)
         return log
 
+    def shutdown(self) -> None:
+        """Release the backend's threads and sockets; memory holds none."""
+
 
 class MemoryNetwork(_Network):
     """The default transport backend; see module docstring."""

@@ -38,7 +38,7 @@ def run_context_scenario(base, seed=11):
     (base / "scn.scn").write_text(CONTEXT_SCENARIO_TEXT)
     scenario = load_scenario(str(base / "scn.scn"))
     options = RunOptions(seed=seed, runs_dir=str(base / "runs"))
-    return ScenarioRunner(scenario, str(base), options).run()
+    return ScenarioRunner(scenario, options).run()
 
 
 # -- criterion 1: port scan scoring on the canonical nine-port host ---------
@@ -423,7 +423,7 @@ def test_criterion_07_orchestration_invariants_on_random_scenarios(tmp_path):
         path.write_text(text)
         scenario = load_scenario(str(path))
         report = ScenarioRunner(
-            scenario, str(tmp_path),
+            scenario,
             RunOptions(seed=trial, runs_dir=str(tmp_path / f"runs{trial}"))
         ).run()
         entries = read_trace(os.path.join(report.run_dir, "trace.jsonl"))

@@ -295,7 +295,8 @@ def test_window_stats_file(tmp_path):
                            5.0, 0.0, 2)
     path = str(tmp_path / "windows.rec")
     write_window_stats(series, 0.0, 5.0, path)
-    text = open(path).read()
+    with open(path) as fh:
+        text = fh.read()
     assert "windows=2" in text
     assert "window.0.network=1.0" in text
     assert "window.0.cpu=42" in text

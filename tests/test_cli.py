@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, exit codes, deterministic output."""
 
 import os
+import threading
 
 import pytest
 
@@ -70,8 +71,85 @@ def test_run_criteria_option_without_parameter_is_an_input_error(
                  str(run_layout / "runs")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == ("error: criteria.port_risk: criteria option names "
-                   "no parameter\n")
+    assert err == (f"error: {run_layout / 'crit.scn'}:3: criteria.port_risk: "
+                   "criteria option names no parameter\n")
+
+
+DEVICES = "devices=cam.dev"
+CLOCK_SET = "USER, CLOCK, SET, {advance_s=1}"
+
+# Each case: the scenario's options and action, and the file, line and
+# message of the error.  Options start on line 2; the action follows the
+# test line after them.
+BAD_SCENARIOS = {
+    "k_not_a_number": (
+        [DEVICES, "k=x"], CLOCK_SET, "scn.scn", 3, "k must be a number"),
+    "baseline_not_a_number": (
+        [DEVICES, "baseline_s=x"], CLOCK_SET, "scn.scn", 3,
+        "baseline_s must be a number"),
+    "window_zero": (
+        [DEVICES, "window_s=0"], CLOCK_SET, "scn.scn", 3, "window_s must be"),
+    "k_zero": ([DEVICES, "k=0"], CLOCK_SET, "scn.scn", 3, "k must be > 0"),
+    "unknown_key": (
+        [DEVICES, "baselin_s=0"], CLOCK_SET, "scn.scn", 3, "unknown option"),
+    "criteria_for_unknown_test": (
+        [DEVICES, "criteria.made_up.x=3"], CLOCK_SET, "scn.scn", 3,
+        "unknown test 'made_up'"),
+    "criteria_without_parameter": (
+        [DEVICES, "criteria.port_risk=5"], CLOCK_SET, "scn.scn", 3,
+        "names no parameter"),
+    "no_devices_option": (
+        ["k=3"], CLOCK_SET, "scn.scn", 1, "option: devices"),
+    "dut_not_in_devices": (
+        [DEVICES, "dut=ghost"], CLOCK_SET, "scn.scn", 3, "dut 'ghost'"),
+    "device_named_like_a_builtin": (
+        ["devices=clock.dev"], CLOCK_SET, "scn.scn", 2, "device 'CLOCK'"),
+    "unknown_element": (
+        [DEVICES], "USER, ghost, TEST, {}", "scn.scn", 4,
+        "unknown element 'ghost'"),
+    "missing_required_param": (
+        [DEVICES], "USER, cam1, LOGIN, {user=root}", "scn.scn", 4,
+        "missing required params"),
+    "unknown_target": (
+        [DEVICES], "USER, port_risk, TEST, {target=ghost}", "scn.scn", 4,
+        "unknown target 'ghost'"),
+    "missing_trajectory": (
+        [DEVICES], "USER, GPS_SIM, START, {none.ctx}", "scn.scn", 4,
+        "cannot read"),
+    "malformed_trajectory": (
+        [DEVICES], "USER, GPS_SIM, START, {bad.ctx}", "bad.ctx", 1,
+        "expected: t lat lon"),
+    "missing_profile_model": (
+        [DEVICES, "profile_model=none.prof"], CLOCK_SET, "scn.scn", 3,
+        "cannot read"),
+    "malformed_profile_model": (
+        [DEVICES, "profile_model=bad.prof"], CLOCK_SET, "bad.prof", 1,
+        "not a profile model file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
+def test_run_rejects_a_bad_scenario_at_its_line(tmp_path, capsys, case):
+    # checked before any network exists: no run directory is made and no
+    # loopback thread is left behind
+    options, action, named, line, message = BAD_SCENARIOS[case]
+    (tmp_path / "cam.dev").write_text(CAMERA_TEXT)
+    (tmp_path / "clock.dev").write_text(CAMERA_TEXT.replace("cam1", "CLOCK"))
+    (tmp_path / "bad.ctx").write_text("0 32.0853\n")
+    (tmp_path / "bad.prof").write_text("not a model\n")
+    (tmp_path / "scn.scn").write_text(
+        "scenario: bad\n" + "".join(f"option: {o}\n" for o in options)
+        + f"test: t\naction: {action}\n")
+    threads = threading.active_count()
+    runs = tmp_path / "runs"
+    code = main(["--backend", "loopback", "run", str(tmp_path / "scn.scn"),
+                 "--runs-dir", str(runs)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path / named}:{line}: "), err
+    assert message in err
+    assert not runs.exists()
+    assert threading.active_count() == threads
 
 
 def test_report_rerender_is_byte_identical(run_layout, capsys):

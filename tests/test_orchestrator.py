@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (CAMERA_TEXT, FLEET_TEXT, INSIDE_WINDOWS, TRIGGER_LAT,
                       TRIGGER_LON, TRIGGER_RADIUS_M, load_text)
-from iotbed.errors import ScenarioError, ValidationError
+from iotbed.errors import AnalysisError, ValidationError
 from iotbed.model import Command, ElementKind, Phase
 from iotbed.orchestrator import (CLOCK, GPS_SIM, SNIFFER, RunOptions,
                                  ScenarioRunner, builtin_descriptors,
@@ -31,7 +31,7 @@ def run_dir_scenario(tmp_path, scenario_text, devices_text=CAMERA_TEXT,
     (tmp_path / "scn.scn").write_text(scenario_text)
     scenario = load_scenario(str(tmp_path / "scn.scn"))
     options = RunOptions(seed=seed, runs_dir=str(tmp_path / "runs"), **extra)
-    return ScenarioRunner(scenario, str(tmp_path), options)
+    return ScenarioRunner(scenario, options)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def context_run(tmp_path_factory):
     (base / "scn.scn").write_text(CONTEXT_SCENARIO_TEXT)
     scenario = load_scenario(str(base / "scn.scn"))
     options = RunOptions(seed=11, runs_dir=str(base / "runs"))
-    report = ScenarioRunner(scenario, str(base), options).run()
+    report = ScenarioRunner(scenario, options).run()
     return scenario, report
 
 
@@ -58,8 +58,8 @@ def test_builtin_descriptor_inventory():
     assert descs[SNIFFER].kind is ElementKind.MEASUREMENT_TOOL
     for kind in PLUGINS:
         assert descs[kind].kind is ElementKind.SECURITY_TEST
-        assert descs[kind].supports(Command.TEST)
-        assert not descs[kind].supports(Command.START)
+        assert Command.TEST in descs[kind].driver
+        assert Command.START not in descs[kind].driver
 
 
 def test_device_descriptor_commands():
@@ -68,8 +68,8 @@ def test_device_descriptor_commands():
     assert desc.kind is ElementKind.DEVICE_UNDER_TEST
     for cmd in (Command.TEST, Command.TEST_CONNECTION, Command.LOGIN,
                 Command.START, Command.STOP):
-        assert desc.supports(cmd)
-    assert not desc.supports(Command.DELETE)
+        assert cmd in desc.driver
+    assert Command.DELETE not in desc.driver
 
 
 # -- option handling --------------------------------------------------------
@@ -78,7 +78,7 @@ def test_device_descriptor_commands():
 def test_missing_devices_option_rejected(tmp_path):
     runner = run_dir_scenario(tmp_path, "scenario: s\ntest: t\n"
                               "action: USER, CLOCK, SET, {advance_s=1}\n")
-    with pytest.raises(ScenarioError, match="devices"):
+    with pytest.raises(AnalysisError, match=r"scn\.scn:1: .*devices"):
         runner.run()
 
 
@@ -86,7 +86,7 @@ def test_unknown_dut_rejected(tmp_path):
     runner = run_dir_scenario(
         tmp_path, "scenario: s\noption: devices=cam.dev\noption: dut=ghost\n"
         "test: t\naction: USER, CLOCK, SET, {advance_s=1}\n")
-    with pytest.raises(ScenarioError, match="ghost"):
+    with pytest.raises(AnalysisError, match=r"scn\.scn:3: .*ghost"):
         runner.run()
 
 
@@ -97,7 +97,7 @@ def test_criteria_option_for_unknown_kind_rejected(tmp_path):
             tmp_path, "scenario: s\noption: devices=cam.dev\n"
             f"option: {key}=3\n"
             "test: t\naction: USER, cam1, TEST, {}\n")
-        with pytest.raises(ScenarioError, match=f"^{key}: "):
+        with pytest.raises(AnalysisError, match=f"scn\\.scn:3: {key}: "):
             runner.run()
 
 
@@ -113,7 +113,7 @@ def test_validation_failure_aborts_before_any_artifact(tmp_path):
     runner = run_dir_scenario(
         tmp_path, "scenario: s\noption: devices=cam.dev\n"
         "test: t\naction: USER, nonexistent_element, TEST, {}\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(AnalysisError, match=r"scn\.scn:4: unknown element"):
         runner.run()
     assert not os.path.exists(tmp_path / "runs")
 
@@ -325,8 +325,8 @@ def test_run_scenario_convenience_wrapper(tmp_path):
     scenario = load_text(
         load_scenario,
         "scenario: s\noption: devices=cam.dev\noption: baseline_s=0\n"
-        "test: t\naction: USER, cam1, TEST, {}\n")
-    report = run_scenario(scenario, str(tmp_path),
+        "test: t\naction: USER, cam1, TEST, {}\n", str(tmp_path))
+    report = run_scenario(scenario,
                           RunOptions(runs_dir=str(tmp_path / "runs")))
     assert report.scenario_name == "s"
     assert report.overall["pass_count"] == 1

@@ -366,7 +366,8 @@ def test_model_save_load_round_trip(tmp_path):
     # the structure survives byte-exactly through a second cycle
     path2 = str(tmp_path / "m2.model")
     save_model(again, path2)
-    assert open(path).read() == open(path2).read()
+    with open(path) as fh, open(path2) as fh2:
+        assert fh.read() == fh2.read()
 
 
 def test_load_model_rejects_foreign_files(tmp_path):

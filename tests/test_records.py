@@ -239,14 +239,17 @@ def test_corrupted_files_exit_2_or_read_cleanly(files, tmp_path, capsys):
                 outcomes.add((what, 2))
             continue
         code = main(use(path))
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         # a run may find a risk (1); any other exit 1 would be a traceback
         assert code in ((0, 1, 2) if "run" in use(path) else (0, 2)), \
             (what, path, err)
         outcomes.add((what, code))
-        # a file its loader rejects is named with a line of its own; an
-        # exit 2 from a run-time check on a scenario that parses (an
-        # unknown dut, k=x) names no file
+        # a run stopped by its input names a file and a line, whether its
+        # loader or the scenario check rejected it
+        if "run" in use(path) and code == 2 and "run complete" not in out:
+            assert re.match(r"error: [^:\n]+:[0-9]+: ", err), \
+                (what, path, err)
+        # a file its loader rejects is named with a line of its own
         if what in INPUTS and input_rejected(what, path):
             assert code == 2 and re.match(
                 f"error: {re.escape(path)}:[0-9]+: ", err), (what, path, err)

@@ -1,103 +1,77 @@
-"""Element registry validation and the append-only action trace."""
+"""The element table a scenario is validated against, and the
+append-only action trace."""
 
-import threading
+import re
 
 import pytest
 
-from iotbed.errors import RegistryError, TraceError, ValidationError
-from iotbed.model import (
-    Command,
-    ElementDescriptor,
-    ElementKind,
-    ParamSchema,
-    make_action,
-)
-from iotbed.registry import ElementRegistry
+from conftest import CAMERA_TEXT
+from iotbed.errors import AnalysisError, TraceError
+from iotbed.model import Command, ElementKind, make_action
+from iotbed.orchestrator import CLOCK, ScenarioRunner
+from iotbed.scenario import load_scenario
 from iotbed.trace import TraceLog, entry_from_json, entry_to_json, read_trace
 
 
-def _cam_descriptor():
-    return ElementDescriptor(
-        id="cam1", kind=ElementKind.DEVICE_UNDER_TEST,
-        driver={
-            Command.TEST: ParamSchema(),
-            Command.LOGIN: ParamSchema(
-                required=frozenset({"user", "password"}),
-                optional=frozenset({"port"})),
-        })
+def validated(tmp_path, action, devices_text=CAMERA_TEXT):
+    """A runner validated on a one-action scenario over a devices file; the
+    action sits on line 4 of scn.scn."""
+    (tmp_path / "cam.dev").write_text(devices_text)
+    (tmp_path / "scn.scn").write_text(
+        f"scenario: s\noption: devices=cam.dev\ntest: t\naction: {action}\n")
+    runner = ScenarioRunner(load_scenario(str(tmp_path / "scn.scn")))
+    runner.validate()
+    return runner
 
 
-def test_register_get_contains_ids():
-    reg = ElementRegistry()
-    reg.register(_cam_descriptor())
-    assert reg.get("cam1").kind is ElementKind.DEVICE_UNDER_TEST
-    assert reg.ids() == ["cam1"]
+def rejected_at(tmp_path, line, action, devices_text=CAMERA_TEXT):
+    path = re.escape(str(tmp_path / "scn.scn"))
+    with pytest.raises(AnalysisError, match=f"^{path}:{line}: ") as info:
+        validated(tmp_path, action, devices_text)
+    return str(info.value)
 
 
-def test_duplicate_id_rejected():
-    reg = ElementRegistry()
-    first = _cam_descriptor()
-    reg.register(first)
-    with pytest.raises(RegistryError):
-        reg.register(_cam_descriptor())
-    assert reg.get("cam1") is first and reg.ids() == ["cam1"]
+def test_register_get_contains_ids(tmp_path):
+    runner = validated(tmp_path, "USER, cam1, TEST, {}")
+    assert runner.elements["cam1"].kind is ElementKind.DEVICE_UNDER_TEST
+    assert runner.elements[CLOCK].kind is ElementKind.SIMULATOR
+    assert runner.elements["port_risk"].kind is ElementKind.SECURITY_TEST
 
 
-def test_unknown_id_rejected():
-    reg = ElementRegistry()
-    with pytest.raises(RegistryError):
-        reg.get("ghost")
+def test_duplicate_id_rejected(tmp_path):
+    # a device may not take a builtin element's id; reported at the
+    # devices option
+    message = rejected_at(tmp_path, 2, "USER, CLOCK, SET, {advance_s=1}",
+                          CAMERA_TEXT.replace("cam1", CLOCK))
+    assert "'CLOCK'" in message
 
 
-def test_validate_action_happy_path():
-    reg = ElementRegistry()
-    reg.register(_cam_descriptor())
-    reg.validate_action(make_action("USER", "cam1", Command.LOGIN,
-                                    {"user": "root", "password": "root"}))
+def test_unknown_id_rejected(tmp_path):
+    # a security test's target must be a device of the devices file
+    message = rejected_at(tmp_path, 4,
+                          "USER, port_risk, TEST, {target=ghost}")
+    assert "unknown target 'ghost'" in message
 
 
-def test_validate_action_unknown_element():
-    reg = ElementRegistry()
-    with pytest.raises(ValidationError):
-        reg.validate_action(make_action("USER", "ghost", Command.TEST, {}))
+def test_validate_action_happy_path(tmp_path):
+    validated(tmp_path, "USER, cam1, LOGIN, {user=root, password=root}")
 
 
-def test_validate_action_unsupported_command():
-    reg = ElementRegistry()
-    reg.register(_cam_descriptor())
-    with pytest.raises(ValidationError):
-        reg.validate_action(make_action("USER", "cam1", Command.START, {}))
+def test_validate_action_unknown_element(tmp_path):
+    message = rejected_at(tmp_path, 4, "USER, ghost, TEST, {}")
+    assert "unknown element 'ghost'" in message
 
 
-def test_validate_action_bad_params():
-    reg = ElementRegistry()
-    reg.register(_cam_descriptor())
-    with pytest.raises(ValidationError):
-        reg.validate_action(make_action("USER", "cam1", Command.LOGIN,
-                                        {"user": "root"}))
-    with pytest.raises(ValidationError):
-        reg.validate_action(make_action("USER", "cam1", Command.TEST,
-                                        {"surprise": 1}))
+def test_validate_action_unsupported_command(tmp_path):
+    message = rejected_at(tmp_path, 4, "USER, cam1, DELETE, {}")
+    assert "does not support DELETE" in message
 
 
-def test_registry_concurrent_register():
-    reg = ElementRegistry()
-    errors = []
-
-    def add(n):
-        try:
-            reg.register(ElementDescriptor(
-                id=f"dev{n}", kind=ElementKind.SIMULATOR))
-        except RegistryError as exc:  # pragma: no cover - should not happen
-            errors.append(exc)
-
-    threads = [threading.Thread(target=add, args=(i,)) for i in range(32)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert len(reg.ids()) == 32
+def test_validate_action_bad_params(tmp_path):
+    message = rejected_at(tmp_path, 4, "USER, cam1, LOGIN, {user=root}")
+    assert "missing required params: ['password']" in message
+    message = rejected_at(tmp_path, 4, "USER, cam1, TEST, {surprise=1}")
+    assert "unexpected params: ['surprise']" in message
 
 
 # -- trace log --------------------------------------------------------------

@@ -598,8 +598,7 @@ def _conformance_facts(net):
                             if r.src_addr in ("cam9", "hub9")}),
         }
     finally:
-        if hasattr(net, "shutdown"):
-            net.shutdown()
+        net.shutdown()
 
 
 def test_backends_simulate_the_same_device():
@@ -614,8 +613,8 @@ def test_backends_simulate_the_same_device():
 
 
 def _proxied_login_facts(net, mutator):
-    """Banner, reply prefixes and client-side record kinds of four logins
-    through a proxy."""
+    """The banner record's size and entropy, the reply prefixes and the
+    client-side record kinds of four logins through a proxy."""
     try:
         for i, spec in enumerate(load_text(load_device_spec,
                                            CONFORMANCE_TEXT)):
@@ -630,13 +629,13 @@ def _proxied_login_facts(net, mutator):
         records = [r for r in net.tap.records[start:]
                    if r.kind not in ("background", "noise")]
         return {
-            "banner": next(r.payload for r in records if r.kind == "banner"),
+            "banner": next((r.size, r.payload_entropy) for r in records
+                           if r.kind == "banner"),
             "replies": [r if r is None else r[:8] for r in replies],
             "kinds": [r.kind for r in records],
         }
     finally:
-        if hasattr(net, "shutdown"):
-            net.shutdown()
+        net.shutdown()
 
 
 @pytest.mark.parametrize("mutator", [ProxyMutator(corrupt_rate=0.5),
@@ -644,7 +643,8 @@ def _proxied_login_facts(net, mutator):
                          ids=["corrupt", "drop"])
 def test_backends_apply_a_proxy_alike(mutator):
     memory = _proxied_login_facts(MemoryNetwork(seed=5), mutator)
-    assert memory["banner"] == b"BusyBox v1.19 telnetd"
+    banner = b"BusyBox v1.19 telnetd"
+    assert memory["banner"] == (len(banner), shannon_entropy(banner))
     assert memory["replies"][0] == b"OK token"
     began = time.monotonic()
     loopback = _proxied_login_facts(LoopbackNetwork(seed=5), mutator)
@@ -664,8 +664,7 @@ def _burst_starts(net):
             for t, lat in ((0.3, 32.0853), (0.5, 32.0953), (0.7, 32.0853))])
         return [w.t_start for w in net.burst_log()]
     finally:
-        if hasattr(net, "shutdown"):
-            net.shutdown()
+        net.shutdown()
 
 
 def test_context_events_fire_at_their_time_on_both_backends():
@@ -673,6 +672,39 @@ def test_context_events_fire_at_their_time_on_both_backends():
     loopback = _burst_starts(LoopbackNetwork(seed=5))
     assert len(loopback) == 2
     assert loopback[0] >= 0.3 and loopback[1] >= 0.7
+
+
+ROBUST_TEXT = """\
+device: quiet1 type=server connectivity=ethernet
+port: 80 service=http
+robustness: ignores_malformed=yes
+traffic: session_rate=0
+"""
+
+
+def _unanswered_request(net):
+    """The reply to a malformed request that the device ignores, the
+    record kinds of the exchange, and the wall time the request took."""
+    try:
+        net.spawn_device(load_text(load_device_spec, ROBUST_TEXT)[0])
+        start = len(net.tap)
+        conn = net.connect("tester", "quiet1", 80)
+        began = time.monotonic()
+        reply = conn.request(b"GARBAGE")
+        took = time.monotonic() - began
+        conn.close()
+        return reply, [r.kind for r in net.tap.records[start:]
+                       if r.kind not in ("background", "noise")], took
+    finally:
+        net.shutdown()
+
+
+def test_unanswered_request_returns_at_once_on_both_backends():
+    *memory, _ = _unanswered_request(MemoryNetwork(seed=5))
+    assert memory == [None, ["probe", "banner", "request"]]
+    *loopback, took = _unanswered_request(LoopbackNetwork(seed=5))
+    assert loopback == memory
+    assert took < REQUEST_TIMEOUT_S / 4
 
 
 BUSY_TEXT = """\
