@@ -10,6 +10,7 @@ scenario files live in scenario.py, checking them in orchestrator.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -58,6 +59,20 @@ class Phase(str, Enum):
 # The file and line a scenario part was read from; not part of equality, so
 # one scenario read from two files compares equal.
 Origin = tuple[str, int]
+
+
+def param_number(params: dict, key: str,
+                 default: float | None = None) -> float:
+    """params[key], or default, as a finite float >= 0; ValidationError if
+    it is not one, which errs the action that reads it."""
+    value = params.get(key, default)
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not (math.isfinite(number) and number >= 0):
+        raise ValidationError(f"{key} must be a number >= 0, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ on with the next test.  Before any network or run directory exists,
 validate() checks every option, the devices file and dut, and each action
 against the element table, and loads the trajectories and profile model;
 a failure is AnalysisError("<path>:<line>: ...") at the scenario or
-template line at fault, or in the named file.  Action parameter values
-(advance_s, port, ports) are checked when the action runs.
+template line at fault, or in the named file.  Action parameter and
+criteria values (advance_s, port, ports, observe_s, ...) are checked when
+the action reads them; a bad one errs that action.
 
 All artifacts of one run live in a per-run directory: the scenario copy,
 trace, captures, status series, window statistics, findings, and the
@@ -34,7 +35,7 @@ from .analysis import (DEFAULT_K, DEFAULT_WINDOW_S, AttackFinding,
                        write_findings, write_window_stats)
 from .errors import TestbedError, ValidationError
 from .model import (Action, Command, ElementDescriptor, ElementKind,
-                    ParamSchema, Phase, Scenario, Test)
+                    ParamSchema, Phase, Scenario, Test, param_number)
 from .profiler import (ProfileDistribution, load_model, profile_device,
                        profile_pairs)
 from .records import Source, dumps, load
@@ -103,15 +104,10 @@ def default_criteria() -> dict[str, dict]:
     return {kind: {} for kind in PLUGINS}
 
 
-def _number(params: dict, key: str, default: float | None = None) -> float:
-    """params[key], or default, as a float; an action parameter that is
-    not a number raises ValidationError, which errs that action."""
-    value = params.get(key, default)
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{key} must be a number, got {value!r}") \
-            from None
+# Criteria that only the config file supplies, and the test each is for.
+CONFIG_CRITERIA = {"score_list": "port_risk",
+                   "vuln_db": "known_vulnerabilities",
+                   "attack_db": "vulnerability_probe"}
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +219,9 @@ class ScenarioRunner:
                 raise ValueError(f"{key}: criteria for unknown test {kind!r}")
             if not name:
                 raise ValueError(f"{key}: criteria option names no parameter")
+            if name in CONFIG_CRITERIA:
+                raise ValueError(f"{key}: {name} is read only from the "
+                                 "config file")
             self.criteria_config[kind][name] = value
         elif key not in ("devices", "dut", "profile_model"):
             raise ValueError(f"unknown option {key!r}")
@@ -245,6 +244,10 @@ class ScenarioRunner:
             if target not in (d.device_id for d in self.device_specs):
                 raise ValueError(f"{action.element}: unknown target "
                                  f"{target!r}")
+            for name, _ in action.params:
+                if name in CONFIG_CRITERIA:
+                    raise ValueError(f"{action.element}: {name} is read "
+                                     "only from the config file")
         if action.element == GPS_SIM and action.command is Command.START:
             name = str(action.get("file"))
             if name not in self.trajectories:
@@ -258,15 +261,9 @@ class ScenarioRunner:
         if self.options.backend not in BACKENDS:
             raise ValidationError(
                 f"unknown backend {self.options.backend!r}")
-        if self.options.score_list:
-            self.criteria_config["port_risk"]["score_list"] = \
-                self.options.score_list
-        if self.options.vuln_db:
-            self.criteria_config["known_vulnerabilities"]["vuln_db"] = \
-                self.options.vuln_db
-        if self.options.attack_db:
-            self.criteria_config["vulnerability_probe"]["attack_db"] = \
-                self.options.attack_db
+        for name, kind in CONFIG_CRITERIA.items():
+            if getattr(self.options, name):
+                self.criteria_config[kind][name] = getattr(self.options, name)
         path, line = self.scenario.origin
         lines = self.scenario.option_lines
         opts = self.scenario.option_dict()
@@ -351,21 +348,15 @@ class ScenarioRunner:
             self.phase_results[test.phase].append(PhaseResult(
                 test.name, "liveness", Verdict(test.name, grade, detail)))
             return f"grade={grade.value}", ()
-        if action.command is Command.TEST_CONNECTION:
+        if action.command in (Command.TEST_CONNECTION, Command.LOGIN):
             ports = handle.spec.open_ports()
-            port = int(_number(params, "port", ports[0] if ports else 0))
-            conn = self.net.connect(action.initiator, action.element, port)
-            if conn is None:
-                raise TestbedError(
-                    f"no connection to {action.element}:{port}")
-            conn.close()
-            return f"connected port={port}", ()
-        if action.command is Command.LOGIN:
-            ports = handle.spec.open_ports()
-            port = int(_number(params, "port", ports[0] if ports else 0))
+            port = int(param_number(params, "port", ports[0] if ports else 0))
             conn = self.net.connect(action.initiator, action.element, port)
             if conn is None:
                 raise TestbedError(f"no connection to {action.element}:{port}")
+            if action.command is Command.TEST_CONNECTION:
+                conn.close()
+                return f"connected port={port}", ()
             wire = f"LOGIN {params['user']} {params['password']}"
             reply = conn.request(wire.encode("ascii"), kind="login")
             conn.close()
@@ -384,9 +375,7 @@ class ScenarioRunner:
     def _exec_builtin(self, action: Action):
         params = action.param_dict()
         if action.element == CLOCK:
-            seconds = _number(params, "advance_s")
-            if seconds < 0:
-                raise ValidationError("advance_s must be >= 0")
+            seconds = param_number(params, "advance_s")
             self.net.observe(seconds)
             return f"advanced {seconds:g}s to t={self.net.now():.3f}", ()
         if action.element == GPS_SIM:

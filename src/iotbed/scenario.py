@@ -15,8 +15,9 @@ holding only `action:` (and optional comment) lines.  A params block that is
 a single bare token, e.g. `{trajectory.cfg}`, is shorthand for `{file=...}`.
 Values parse as int, then float, then string.  A malformed scenario or
 template raises AnalysisError("<path>:<line>: ...") naming the file at
-fault and its own line.  load_scenario checks syntax only; it records the
-line of each option and action for ScenarioRunner.validate to report at.
+fault and its own line.  load_scenario checks syntax only, and that no
+option key is set twice; it records the line of each option and action
+for ScenarioRunner.validate to report at.
 """
 
 from __future__ import annotations
@@ -142,6 +143,9 @@ def load_scenario(path: str) -> Scenario:
                     raise ValueError("option expects k=v")
                 k, _, v = body.partition("=")
                 k = k.strip()
+                if k in option_lines:
+                    raise ValueError(f"option {k!r} already set at line "
+                                     f"{option_lines[k]}")
                 options.append((k, _parse_value(v.strip())))
                 option_lines[k] = source.line
             elif key == "template_dir":

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import AnalysisError, TransportError, ValidationError
+from ..model import param_number
 from .portrisk import (PortScoreEntry, format_score, parse_ports,
                        score_ports)
 from .verdict import Grade, Verdict
@@ -49,6 +50,15 @@ class PluginContext:
         return f"n{self.rng.randrange(10 ** 9)}"
 
 
+def _ports(criteria: dict, key: str, default=None) -> list[int] | range:
+    """A port-list criterion through parse_ports; ValidationError if bad."""
+    value = criteria.get(key, default)
+    try:
+        return parse_ports(value)
+    except ValueError:
+        raise ValidationError(f"{key}: bad port list {value!r}") from None
+
+
 def _pick_port(spec, prefer: tuple[str, ...] = ()) -> int | None:
     ports = spec.open_ports()
     if not ports:
@@ -65,11 +75,7 @@ def _pick_port(spec, prefer: tuple[str, ...] = ()) -> int | None:
 # ---------------------------------------------------------------------------
 
 def measure_port_risk(ctx: PluginContext) -> RawResult:
-    listed = ctx.criteria.get("ports")
-    try:
-        ports = parse_ports(listed)
-    except ValueError:
-        raise ValidationError(f"port_risk: bad ports {listed!r}") from None
+    ports = _ports(ctx.criteria, "ports")
     found = ctx.net.scan_ports(ctx.initiator, ctx.device_id, ports)
     return RawResult("port_risk", {"open_ports": [p for p, _ in found]})
 
@@ -93,15 +99,16 @@ def judge_port_risk(raw: RawResult, criteria: dict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def measure_scan_detectability(ctx: PluginContext) -> RawResult:
-    observe_s = float(ctx.criteria.get("observe_s", 10))
+    observe_s = param_number(ctx.criteria, "observe_s", 10)
     t0 = ctx.net.now()
     ctx.net.observe(observe_s)
     background = [r for r in ctx.net.tap.between(t0, ctx.net.now())
                   if r.src_addr == ctx.device_id]
     declared = ctx.handle.spec.open_ports()
     sweep = sorted(set(range(1, 1025)) | set(declared)
-                   | set(ctx.criteria.get("common_ports", (80, 443)))
-                   | set(ctx.criteria.get("management_ports", (20, 21, 22, 23))))
+                   | set(_ports(ctx.criteria, "common_ports", (80, 443)))
+                   | set(_ports(ctx.criteria, "management_ports",
+                                (20, 21, 22, 23))))
     found = ctx.net.scan_ports(ctx.initiator, ctx.device_id, sweep)
     return RawResult("scan_detectability", {
         "background_records": len(background),
@@ -111,9 +118,10 @@ def measure_scan_detectability(ctx: PluginContext) -> RawResult:
 
 
 def judge_scan_detectability(raw: RawResult, criteria: dict) -> Verdict:
-    common = set(criteria.get("common_ports", (80, 443)))
-    mgmt = set(criteria.get("management_ports", (20, 21, 22, 23)))
-    expected = set(criteria.get("expected_ports", raw.data["declared_ports"]))
+    common = set(_ports(criteria, "common_ports", (80, 443)))
+    mgmt = set(_ports(criteria, "management_ports", (20, 21, 22, 23)))
+    expected = set(_ports(criteria, "expected_ports",
+                          raw.data["declared_ports"]))
     open_ports = set(raw.data["open_ports"])
     background = raw.data["background_records"]
     if not open_ports and background == 0:
@@ -227,7 +235,7 @@ def judge_process_enumeration(raw: RawResult, criteria: dict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def measure_data_leakage(ctx: PluginContext) -> RawResult:
-    observe_s = float(ctx.criteria.get("observe_s", 15))
+    observe_s = param_number(ctx.criteria, "observe_s", 15)
     t0 = ctx.net.now()
     ctx.net.observe(observe_s)
     records = [r for r in ctx.net.tap.between(t0, ctx.net.now())
@@ -244,8 +252,8 @@ def judge_data_leakage(raw: RawResult, criteria: dict) -> Verdict:
     if raw.data["payload_records"] == 0:
         return Verdict("data_leakage", Grade.INDETERMINATE,
                        "no payload-bearing records observed")
-    threshold = float(criteria.get("entropy_threshold", 7.0))
-    min_size = int(criteria.get("entropy_min_size", 256))
+    threshold = param_number(criteria, "entropy_threshold", 7.0)
+    min_size = int(param_number(criteria, "entropy_min_size", 256))
     low = [(seq, size, ent) for seq, size, ent in raw.data["entropies"]
            if size >= min_size and ent < threshold]
     markers = raw.data["markers"]
@@ -297,7 +305,7 @@ DEFAULT_CREDENTIALS = ("admin:admin", "admin:1234", "root:root", "user:user")
 
 
 def measure_management_access(ctx: PluginContext) -> RawResult:
-    mgmt_ports = [int(p) for p in ctx.criteria.get("management_ports", (22, 23))]
+    mgmt_ports = _ports(ctx.criteria, "management_ports", (22, 23))
     found = ctx.net.scan_ports(ctx.initiator, ctx.device_id, mgmt_ports)
     open_ports = [p for p, _ in found]
     creds = list(ctx.criteria.get("credentials", DEFAULT_CREDENTIALS))
@@ -448,8 +456,8 @@ def measure_delay(ctx: PluginContext) -> RawResult:
     port = _pick_port(spec)
     if port is None:
         raise AnalysisError("delay: no service to transact with")
-    delay_ms = float(ctx.criteria.get("delay_ms", 0))
-    n = int(ctx.criteria.get("transactions", 8))
+    delay_ms = param_number(ctx.criteria, "delay_ms", 0)
+    n = int(param_number(ctx.criteria, "transactions", 8))
     ctx.net.proxy(ctx.device_id, ProxyMutator(delay_ms=delay_ms))
     try:
         conn = ctx.net.connect(ctx.initiator, ctx.device_id, port)
@@ -479,7 +487,7 @@ def measure_delay(ctx: PluginContext) -> RawResult:
 
 def judge_delay(raw: RawResult, criteria: dict) -> Verdict:
     lo, hi = raw.data["range_ms"]
-    allowance = float(criteria.get("latency_allowance_ms", 100))
+    allowance = param_number(criteria, "latency_allowance_ms", 100)
     gaps = raw.data["gaps_ms"]
     worst = max(gaps) if gaps else 0.0
     if worst > hi + allowance:
@@ -503,8 +511,8 @@ def measure_tamper(ctx: PluginContext) -> RawResult:
     port = _pick_port(spec)
     if port is None:
         raise AnalysisError("tamper: no service to transact with")
-    rate = float(ctx.criteria.get("corrupt_rate", 0.1))
-    n = int(ctx.criteria.get("transactions", 20))
+    rate = param_number(ctx.criteria, "corrupt_rate", 0.1)
+    n = int(param_number(ctx.criteria, "transactions", 20))
     ctx.net.proxy(ctx.device_id, ProxyMutator(corrupt_rate=rate))
     answered = 0
     sent = 0

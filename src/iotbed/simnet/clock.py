@@ -5,7 +5,7 @@ at an exact virtual instant, ties broken by scheduling order, so a run is
 reproducible to the timestamp.  now() never goes backwards.
 
 WallClock drives the loopback backend: the same queue, drained in real
-time by one daemon thread.
+time by one daemon thread; advance(seconds) waits that long.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class WallClock:
     done; callbacks still queued then never fire.
     """
 
-    def __init__(self, lock: threading.Lock):
+    def __init__(self, lock: threading.RLock):
         self._lock = lock
         self._t0 = time.monotonic()
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
@@ -79,6 +79,10 @@ class WallClock:
             heapq.heappush(self._queue,
                            (self.now() + delay, next(self._counter), callback))
             self._cond.notify()
+
+    def advance(self, seconds: float) -> None:
+        """Wait seconds of wall time while callbacks fire on their thread."""
+        time.sleep(seconds)
 
     def _run(self) -> None:
         with self._cond:

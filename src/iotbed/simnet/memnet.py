@@ -1,22 +1,27 @@
-"""Deterministic in-memory network backend, and the device model both
-backends share.
+"""Deterministic in-memory network backend, and the device model and
+client operations both backends share.
 
 Devices are event-driven actors (_DeviceActor): background telemetry
 sessions, periodic status samples, context-triggered attack bursts and
 false-alarm bursts are all events on the network's clock.  The actor
 reaches time only through clock.now() and clock.schedule(delay, cb), so
 the same actor runs here on a VirtualClock and on the loopback backend's
-WallClock; the two backends differ only in clock and transport.
+WallClock.  The client operations (connect, scan_ports, advance_context,
+MemConnection.request) are written once, here, and reach the transport
+only through _transit, _dial and _exchange; LoopbackNetwork replaces the
+clock and those three hooks, so the backends differ only in clock and
+transport, and record and proxy every frame alike.
 
 Here a fixed seed and a fixed context script reproduce byte-identical
-captures.  Client-side operations (connect / request / scan) advance the
-clock themselves by the modeled round-trip latency, firing any background
-events that fall due in between.  Every record enters the tap through a
-single emit point that also increments the completeness counter.
+captures: each leg of a client operation advances the clock by its
+modelled latency, firing any background events that fall due in between.
+Every record enters the tap through a single emit point that also
+increments the completeness counter.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -111,7 +116,7 @@ class _DeviceActor:
     `net` provides seed, clock, feed, actors, emit() and proxy_for().
     """
 
-    def __init__(self, net: "_Network", spec: DeviceSpec):
+    def __init__(self, net: "MemoryNetwork", spec: DeviceSpec):
         self.net = net
         self.spec = spec
         self.state = DeviceState()
@@ -306,15 +311,17 @@ class DeviceHandle:
 
 
 class MemConnection:
-    """One client connection to a device port on the virtual transport."""
+    """One client connection to a device port; channel is the transport's
+    handle on it (None here, a socket on the loopback backend)."""
 
     def __init__(self, net: "MemoryNetwork", src: str, src_port: int,
-                 dst: str, dst_port: int):
+                 dst: str, dst_port: int, channel=None):
         self.net = net
         self.src = src
         self.src_port = src_port
         self.dst = dst
         self.dst_port = dst_port
+        self.channel = channel
         self.closed = False
 
     def request(self, data: bytes, kind: str = "request") -> bytes | None:
@@ -322,31 +329,35 @@ class MemConnection:
         if self.closed:
             raise TransportError("connection closed")
         net = self.net
-        actor = net.actors[self.dst]
         proxy = net.proxy_for(self.dst)
         if proxy is not None:
-            data = _mutate(proxy.request_path, proxy.mutator, data)
+            with net.lock:
+                data = _mutate(proxy.request_path, proxy.mutator, data)
             if data is None:
-                net.clock.advance(RTT_S)
+                net._transit(RTT_S)
                 return None
         net.emit(src=self.src, src_port=self.src_port, dst=self.dst,
                  dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
-        net.clock.advance(RTT_S / 2)
-        reply = actor.engine.handle(self.dst_port, data)
+        net._transit(RTT_S / 2)
+        reply = net._exchange(self, data)
         if reply is not None and proxy is not None:
-            reply = _mutate(proxy.response_path, proxy.mutator, reply)
+            with net.lock:
+                reply = _mutate(proxy.response_path, proxy.mutator, reply)
         if reply is None:
-            net.clock.advance(RTT_S / 2)
+            net._transit(RTT_S / 2)
             return None
         delay_s = 0.0 if proxy is None else proxy.mutator.delay_ms / 1000.0
-        net.clock.advance(RTT_S / 2 + delay_s)
+        net._transit(RTT_S / 2, delay_s)
         net.emit(src=self.dst, src_port=self.dst_port, dst=self.src,
-                 dst_port=self.src_port, ttl=actor.ttl(), kind="response",
-                 payload=reply)
+                 dst_port=self.src_port, ttl=net.actors[self.dst].ttl(),
+                 kind="response", payload=reply)
         return reply
 
     def close(self) -> None:
-        self.closed = True
+        if not self.closed:
+            self.closed = True
+            if self.channel is not None:
+                self.channel.close()
 
 
 class CaptureHandle:
@@ -356,16 +367,15 @@ class CaptureHandle:
         self.start_idx = start_idx
 
 
-class _Network:
-    """Device fleet, tap and captures: what both backends share.
+class MemoryNetwork:
+    """The default backend: fleet, tap, captures, proxies and the client
+    operations on a VirtualClock; see the module docstring."""
 
-    A backend supplies the clock the actors run on and the transport
-    operations: emit, observe, advance_context, connect and scan_ports.
-    """
+    lock = contextlib.nullcontext()     # one thread: nothing to guard
 
-    def __init__(self, seed: int, clock):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.clock = clock
+        self.clock = VirtualClock()
         self.tap = CaptureTap()
         self.feed = ContextFeed()
         self.actors: dict[str, _DeviceActor] = {}
@@ -375,6 +385,16 @@ class _Network:
         self._eph_ports = itertools.count(50000)
         self._capture_ids = itertools.count(1)
         self._captures: dict[int, CaptureHandle] = {}
+
+    # -- record emission (single choke point) ---------------------------
+    def emit(self, src: str, src_port: int, dst: str, dst_port: int,
+             ttl: int, kind: str, payload: bytes) -> None:
+        self.emitted += 1
+        self.tap.add(CaptureRecord.build(
+            seq=self.emitted, ts=self.clock.now(), src_addr=src,
+            src_port=src_port, dst_addr=dst, dst_port=dst_port, ttl=ttl,
+            kind=kind, direction=classify_direction(src, dst, self.dut_ids),
+            payload=payload))
 
     # -- device lifecycle -----------------------------------------------
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
@@ -395,20 +415,35 @@ class _Network:
             raise TransportError(f"unknown device {device_id!r}")
         return actor
 
-    def _target(self, dst: str) -> _DeviceActor:
-        actor = self.actors.get(dst)
-        if actor is None:
-            raise TransportError(f"unreachable target {dst!r}")
-        return actor
-
     def handle(self, device_id: str) -> DeviceHandle:
         return DeviceHandle(self._actor(device_id))
 
     def stop_device(self, device_id: str) -> None:
         self._actor(device_id).state.alive = False
 
+    def shutdown(self) -> None:
+        """Release the backend's threads and sockets; memory holds none."""
+
+    # -- time ------------------------------------------------------------
     def now(self) -> float:
         return self.clock.now()
+
+    def observe(self, seconds: float) -> None:
+        """Let the devices run for the given span of time."""
+        self.clock.advance(seconds)
+
+    def advance_context(self, events: list[ContextEvent]) -> None:
+        """Publish each event once the clock reaches its t.  The events
+        must be sorted by t and the first may not be past; otherwise
+        TransportError is raised before any is published."""
+        if any(b.t < a.t for a, b in zip(events, events[1:])):
+            raise TransportError("context events not sorted")
+        if events and events[0].t < self.clock.now():
+            raise TransportError("context event in the past")
+        for event in events:
+            self.clock.advance(max(0.0, event.t - self.clock.now()))
+            with self.lock:
+                self.feed.publish(event)
 
     # -- proxy -----------------------------------------------------------
     def proxy(self, device_id: str, mutator: ProxyMutator) -> None:
@@ -448,74 +483,57 @@ class _Network:
         log.sort(key=lambda w: w.t_start)
         return log
 
-    def shutdown(self) -> None:
-        """Release the backend's threads and sockets; memory holds none."""
+    # -- transport: the hooks the loopback backend replaces ---------------
+    def _transit(self, seconds: float, delay_s: float = 0.0) -> None:
+        """One leg of a client operation: seconds of modelled network time
+        plus delay_s that a proxy adds."""
+        self.clock.advance(seconds + delay_s)
 
+    def _dial(self, actor: _DeviceActor,
+              port: int) -> tuple[object, bytes] | None:
+        """(channel, banner) of an open port of a live device, else None."""
+        if not actor.state.alive or port not in actor.spec.ports:
+            return None
+        return None, actor.spec.ports[port].effective_banner().encode("ascii")
 
-class MemoryNetwork(_Network):
-    """The default transport backend; see module docstring."""
-
-    backend_name = "memory"
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed, VirtualClock())
-
-    # -- record emission (single choke point) ---------------------------
-    def emit(self, src: str, src_port: int, dst: str, dst_port: int,
-             ttl: int, kind: str, payload: bytes) -> None:
-        self.emitted += 1
-        self.tap.add(CaptureRecord.build(
-            seq=self.emitted, ts=self.clock.now(), src_addr=src,
-            src_port=src_port, dst_addr=dst, dst_port=dst_port, ttl=ttl,
-            kind=kind, direction=classify_direction(src, dst, self.dut_ids),
-            payload=payload))
-
-    # -- time ------------------------------------------------------------
-    def observe(self, seconds: float) -> None:
-        """Let the simulation run for the given span of virtual time."""
-        self.clock.advance(seconds)
-
-    def advance_context(self, events: list[ContextEvent]) -> None:
-        if any(b.t < a.t for a, b in zip(events, events[1:])):
-            raise TransportError("context events not sorted")
-        for event in events:
-            if event.t < self.clock.now():
-                raise TransportError("context event in the past")
-            self.clock.advance(event.t - self.clock.now())
-            self.feed.publish(event)
+    def _exchange(self, conn: MemConnection, data: bytes) -> bytes | None:
+        """The device's reply to one request on conn; None for no reply."""
+        return self.actors[conn.dst].engine.handle(conn.dst_port, data)
 
     # -- client operations ----------------------------------------------
     def connect(self, src: str, dst: str, port: int) -> MemConnection | None:
         """TCP-style connect; returns a connection with the banner, or None."""
-        actor = self._target(dst)
+        actor = self._actor(dst)
         src_port = next(self._eph_ports)
         self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
                   ttl=64, kind="probe", payload=b"")
-        self.clock.advance(RTT_S / 2)
-        if not actor.state.alive or port not in actor.spec.ports:
-            self.clock.advance(RTT_S / 2)
+        self._transit(RTT_S / 2)
+        opened = self._dial(actor, port)
+        self._transit(RTT_S / 2)
+        if opened is None:
             return None
-        banner = actor.spec.ports[port].effective_banner()
-        self.clock.advance(RTT_S / 2)
+        channel, banner = opened
         self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
-                  ttl=actor.ttl(), kind="banner",
-                  payload=banner.encode("ascii"))
-        return MemConnection(self, src, src_port, dst, port)
+                  ttl=actor.ttl(), kind="banner", payload=banner)
+        return MemConnection(self, src, src_port, dst, port, channel)
 
     def scan_ports(self, src: str, dst: str,
                    ports: list[int] | range) -> list[tuple[int, str]]:
         """Probe every port once; returns (port, banner) for the open ones."""
-        actor = self._target(dst)
+        actor = self._actor(dst)
         found: list[tuple[int, str]] = []
         src_port = next(self._eph_ports)
         for port in ports:
             self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
                       ttl=64, kind="probe", payload=b"")
-            if actor.state.alive and port in actor.spec.ports:
-                banner = actor.spec.ports[port].effective_banner()
+            # most of a sweep is closed: dial only the declared ports
+            opened = port in actor.spec.ports and self._dial(actor, port)
+            if opened:
+                channel, banner = opened
+                if channel is not None:
+                    channel.close()
                 self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
-                          ttl=actor.ttl(), kind="banner",
-                          payload=banner.encode("ascii"))
-                found.append((port, banner))
-            self.clock.advance(SCAN_STEP_S)
+                          ttl=actor.ttl(), kind="banner", payload=banner)
+                found.append((port, banner.decode("ascii", "replace")))
+            self._transit(SCAN_STEP_S)
         return sorted(found)

@@ -1,5 +1,6 @@
 """Command-line behaviour: subcommands, exit codes, deterministic output."""
 
+import collections
 import os
 import threading
 
@@ -7,8 +8,9 @@ import pytest
 
 from conftest import CAMERA_TEXT, load_text
 from iotbed.cli import build_parser, main
+from iotbed.orchestrator import read_report_fields
 from iotbed.profiler import Leaf, StatModel, save_model
-from iotbed.simnet import MemoryNetwork, write_capture
+from iotbed.simnet import MemoryNetwork, read_capture, write_capture
 from iotbed.simnet.devspec import load_device_spec
 from iotbed.trace import read_trace
 
@@ -44,13 +46,39 @@ def test_run_prints_summary_and_exits_clean(run_layout, capsys):
     assert os.path.isdir(os.path.join(runs, run_id))
 
 
-def test_run_bad_port_list_errs_the_action(run_layout, capsys):
-    (run_layout / "ports.scn").write_text(
-        "scenario: bad_ports\noption: devices=cam.dev\noption: baseline_s=0\n"
-        "test: scan\n"
-        "action: USER, port_risk, TEST, {target=cam1, ports=abc}\n")
+# Each case: an option line (or None), the action after `USER, ` and the start
+# of the error its one action ends in.
+BAD_CRITERIA = {
+    "ports": (None, "port_risk, TEST, {target=cam1, ports=abc}",
+              "ports: bad port list 'abc'"),
+    "management_ports": (
+        None, "management_access, TEST, {target=cam1, management_ports=x}",
+        "management_ports: bad port list 'x'"),
+    "observe_s": (
+        None, "scan_detectability, TEST, {target=cam1, observe_s=abc}",
+        "observe_s must be a number >= 0, got 'abc'"),
+    "negative": (
+        None, "data_leakage, TEST, {target=cam1, observe_s=-1}",
+        "observe_s must be a number >= 0, got -1"),
+    "criteria_option": (
+        "criteria.delay_attack.delay_ms=abc",
+        "delay_attack, TEST, {target=cam1}",
+        "delay_ms must be a number >= 0, got 'abc'"),
+    "not_finite": (None, "cam1, LOGIN, {user=root, password=root, port=inf}",
+                   "port must be a number >= 0, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CRITERIA))
+def test_run_bad_port_list_errs_the_action(run_layout, capsys, case):
+    option, action, message = BAD_CRITERIA[case]
+    (run_layout / "bad.scn").write_text(
+        "scenario: bad_criteria\noption: devices=cam.dev\n"
+        "option: baseline_s=0\n"
+        + (f"option: {option}\n" if option else "")
+        + f"test: t\naction: USER, {action}\n")
     runs = run_layout / "runs"
-    code = main(["run", str(run_layout / "ports.scn"), "--runs-dir",
+    code = main(["run", str(run_layout / "bad.scn"), "--runs-dir",
                  str(runs)])
     out = capsys.readouterr().out
     assert "run complete" in out
@@ -58,7 +86,7 @@ def test_run_bad_port_list_errs_the_action(run_layout, capsys):
     # nothing was tested, so the run is not clean
     assert code == 2
     entry, = read_trace(str(runs / os.listdir(runs)[0] / "trace.jsonl"))
-    assert entry.outcome == "error" and "'abc'" in entry.message
+    assert entry.outcome == "error" and entry.message.startswith(message)
 
 
 def test_run_criteria_option_without_parameter_is_an_input_error(
@@ -98,6 +126,15 @@ BAD_SCENARIOS = {
     "criteria_without_parameter": (
         [DEVICES, "criteria.port_risk=5"], CLOCK_SET, "scn.scn", 3,
         "names no parameter"),
+    "option_set_twice": (
+        [DEVICES, "k=x", "k=3"], CLOCK_SET, "scn.scn", 4,
+        "option 'k' already set at line 3"),
+    "config_criterion_in_an_option": (
+        [DEVICES, "criteria.port_risk.score_list=x"], CLOCK_SET, "scn.scn",
+        3, "score_list is read only from the config file"),
+    "config_criterion_in_an_action": (
+        [DEVICES], "USER, port_risk, TEST, {target=cam1, score_list=x}",
+        "scn.scn", 4, "score_list is read only from the config file"),
     "no_devices_option": (
         ["k=3"], CLOCK_SET, "scn.scn", 1, "option: devices"),
     "dut_not_in_devices": (
@@ -150,6 +187,56 @@ def test_run_rejects_a_bad_scenario_at_its_line(tmp_path, capsys, case):
     assert message in err
     assert not runs.exists()
     assert threading.active_count() == threads
+
+
+# Liveness, the two device commands that connect, and every test but the two
+# that wait seconds of wall time on loopback (data_leakage, delay_attack).
+BOTH_BACKENDS_SCENARIO = """\
+scenario: both_backends
+option: devices=cam.dev
+option: baseline_s=0
+
+test: suite
+action: USER, cam1, TEST, {}
+action: USER, cam1, TEST_CONNECTION, {}
+action: USER, cam1, LOGIN, {user=root, password=root}
+action: USER, port_risk, TEST, {target=cam1, ports=1-1024}
+action: USER, scan_detectability, TEST, {target=cam1, observe_s=0.1}
+""" + "".join(f"action: USER, {kind}, TEST, {{target=cam1}}\n" for kind in (
+    "fingerprint", "process_enumeration", "data_collection",
+    "management_access", "downgrade_attack", "replay_attack", "tamper_attack",
+    "known_vulnerabilities", "vulnerability_probe"))
+
+
+def _run_facts(layout, backend, capsys):
+    """What a run of both.scn on backend must agree on: exit code, trace
+    outcomes, phase-1 grades and the records of each tester-driven kind."""
+    runs = layout / backend
+    code = main(["--seed", "7", "--backend", backend, "run",
+                 str(layout / "both.scn"), "--runs-dir", str(runs)])
+    capsys.readouterr()
+    run_dir = runs / os.listdir(runs)[0]
+    report = dict(read_report_fields(str(run_dir / "report.rec")))
+    trace = read_trace(str(run_dir / "trace.jsonl"))
+    return {
+        "code": code,
+        "outcomes": [entry.outcome for entry in trace],
+        "grades": [report[f"phase1.{i}.grade"]
+                   for i in range(int(report["phase1.count"]))],
+        # background and noise follow the clock, not the tests
+        "kinds": collections.Counter(
+            r.kind for r in read_capture(str(run_dir / "capture.cap"))
+            if r.kind not in ("background", "noise")),
+    }
+
+
+def test_a_scenario_runs_alike_on_both_backends(run_layout, capsys):
+    (run_layout / "both.scn").write_text(BOTH_BACKENDS_SCENARIO)
+    memory = _run_facts(run_layout, "memory", capsys)
+    assert memory["code"] == 1
+    assert memory["outcomes"] == ["ok"] * 14
+    assert len(memory["grades"]) == 12
+    assert _run_facts(run_layout, "loopback", capsys) == memory
 
 
 def test_report_rerender_is_byte_identical(run_layout, capsys):

@@ -1,8 +1,9 @@
 """The key=value codec: pinned memory-backend output and seeded corruption
-of every artifact and input file."""
+of every artifact and input file; checks on the package source."""
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -304,3 +305,51 @@ def test_source_has_no_assert_statements():
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_traced_members_sit_where_the_tracer_looks_them_up():
+    # perfbench/tracing.py wraps fn(module, "x") in the module's namespace
+    # and meth(cls, "x") in the class's own __dict__, so moving or renaming
+    # one of them breaks the traced benchmark run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("iotbed."):
+                    importlib.import_module(alias.name)
+    install = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+    scope = {"iotbed": iotbed}
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return scope[expr.id]
+        return getattr(resolve(expr.value), expr.attr)
+
+    loops = {}
+    for node in install.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value,
+                                                       ast.Attribute):
+            scope[node.targets[0].id] = resolve(node.value)
+        elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            loops[node.target.id] = ast.literal_eval(node.iter)
+    checked, missing = [], []
+    for node in ast.walk(install):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("fn", "meth")):
+            continue
+        owner, attr = node.args[:2]
+        names = ([attr.value] if isinstance(attr, ast.Constant)
+                 else loops[attr.id])
+        for name in names:
+            target = f"{node.func.id}({ast.unparse(owner)}, {name!r})"
+            checked.append(target)
+            if name not in vars(resolve(owner)):
+                missing.append(target)
+    assert "meth(simnet.memnet.MemoryNetwork, 'emit')" in checked
+    assert len(checked) > 40
+    assert missing == []

@@ -395,6 +395,11 @@ def test_management_access_grades():
     v = run_plugin("management_access", weak)
     assert v.grade is Grade.FAIL
     assert "root:root" in v.detail
+    # one port, as a scenario's `management_ports=23` reads
+    v = run_plugin("management_access", weak, seed=1,
+                   criteria={"management_ports": 23})
+    assert v.grade is Grade.FAIL
+    assert "root:root" in v.detail
 
     open_but_strong = make_net(
         'device: d type=cam connectivity=wifi\n'

@@ -544,6 +544,14 @@ def test_loopback_roundtrip(camera_spec):
         net.shutdown()
 
 
+def test_loopback_shutdown_is_prompt(camera_spec):
+    net = LoopbackNetwork(seed=5)
+    net.spawn_device(camera_spec, dut=True)
+    began = time.monotonic()
+    net.shutdown()
+    assert time.monotonic() - began < 0.2
+
+
 # Both backends run one device model, so everything that does not depend on
 # the clock must agree.  Neither TTL is 64, so a backend that stamps a fixed
 # TTL instead of the device's own shows up.
@@ -672,6 +680,24 @@ def test_context_events_fire_at_their_time_on_both_backends():
     loopback = _burst_starts(LoopbackNetwork(seed=5))
     assert len(loopback) == 2
     assert loopback[0] >= 0.3 and loopback[1] >= 0.7
+
+
+@pytest.mark.parametrize("backend", [MemoryNetwork, LoopbackNetwork])
+@pytest.mark.parametrize("times", [(0.3, 0.2), (0.01, 0.2)],
+                         ids=["unsorted", "first_past"])
+def test_bad_context_events_are_rejected_before_any_is_published(
+        camera_spec, backend, times):
+    net = backend(seed=5)
+    try:
+        net.spawn_device(camera_spec)
+        net.observe(0.05)
+        with pytest.raises(TransportError):
+            net.advance_context([
+                ContextEvent(t=t, lat=32.0853, lon=34.7818, day=Day.MONDAY)
+                for t in times])
+        assert net.feed.history == []
+    finally:
+        net.shutdown()
 
 
 ROBUST_TEXT = """\
