@@ -54,6 +54,12 @@ SNIFFER = "SNIFFER"
 DEFAULT_BASELINE_S = 30.0
 
 
+def _capture_scope(action: Action) -> set[str] | None:
+    """The device ids a SNIFFER START captures; None means every device."""
+    scope = str(action.get("scope", ""))
+    return {scope} if scope else None
+
+
 # ---------------------------------------------------------------------------
 # element descriptors
 # ---------------------------------------------------------------------------
@@ -248,6 +254,11 @@ class ScenarioRunner:
                 if name in CONFIG_CRITERIA:
                     raise ValueError(f"{action.element}: {name} is read "
                                      "only from the config file")
+        if action.element == SNIFFER and action.command is Command.START:
+            for device_id in _capture_scope(action) or ():
+                if device_id not in (d.device_id for d in self.device_specs):
+                    raise ValueError(f"{SNIFFER}: unknown scope device "
+                                     f"{device_id!r}")
         if action.element == GPS_SIM and action.command is Command.START:
             name = str(action.get("file"))
             if name not in self.trajectories:
@@ -387,8 +398,7 @@ class ScenarioRunner:
             return "trajectory replay idle", ()
         if action.element == SNIFFER:
             if action.command is Command.START:
-                scope = str(params.get("scope", "")) or None
-                handle = self.net.start_capture(scope)
+                handle = self.net.start_capture(_capture_scope(action))
                 self.capture_stack.append(handle)
                 return f"capture {handle.handle_id} started", ()
             if not self.capture_stack:

@@ -6,13 +6,24 @@ feature values.  A value >= threshold routes right.  A split is admissible
 only if both children keep at least min_leaf instances.  Ties between
 equal-gain splits resolve to the lowest feature index, then the lowest
 threshold.  Trained models are immutable; classification is pure.
+
+The split search is the sorted sweep of CART and C4.5 (Breiman et al. 1984;
+Quinlan 1993): each feature is sorted once per node, and rows cross the
+threshold one at a time, moving their class count from the right side to
+the left.  Each side's entropy is summed in the order its classes first
+appear on that side, as class_entropy sums it, so every gain equals
+split_gain's on the same split bit for bit.  split_gain scores the
+candidates the sweep cannot: a midpoint that is not above the lower of its
+two values, as when two adjacent floats round onto it, and every threshold
+of a feature holding a NaN, where the sorted order says nothing about
+`x < threshold`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import log2
+from math import isnan, log2
 
 from ..errors import AnalysisError
 from ..records import Source
@@ -83,6 +94,18 @@ def split_gain(labels, left_labels, right_labels) -> float:
     return class_entropy(labels) - weighted
 
 
+def _suffix_orders(ys: list[str]) -> list[tuple[str, ...]]:
+    """orders[i]: the classes of ys[i:] in the order they first appear."""
+    orders: list[tuple[str, ...]] = [()] * len(ys)
+    current: tuple[str, ...] = ()
+    for i in range(len(ys) - 1, -1, -1):
+        y = ys[i]
+        if not current or current[0] != y:
+            current = (y,) + tuple(c for c in current if c != y)
+        orders[i] = current
+    return orders
+
+
 def best_split(rows: list[tuple[tuple[float, ...], str]],
                min_leaf: int) -> tuple[int, float, float] | None:
     """Return (feature, threshold, gain) of the best admissible split.
@@ -92,21 +115,42 @@ def best_split(rows: list[tuple[tuple[float, ...], str]],
     for free.
     """
     labels = [y for _, y in rows]
+    n = len(labels)
+    base = class_entropy(labels)
+    totals: dict[str, int] = {}
+    for y in labels:
+        totals[y] = totals.get(y, 0) + 1
     best = None
     best_gain = 0.0
     n_features = len(rows[0][0])
     for f in range(n_features):
         ordered = sorted(rows, key=lambda r: r[0][f])
         values = [r[0][f] for r in ordered]
-        for i in range(1, len(ordered)):
+        ys = [r[1] for r in ordered]
+        sweep = not any(map(isnan, values))
+        right_orders = _suffix_orders(ys)
+        left: dict[str, int] = {}
+        right = dict(totals)
+        for i in range(1, n):
+            y = ys[i - 1]
+            left[y] = left.get(y, 0) + 1
+            right[y] -= 1
             if values[i] == values[i - 1]:
                 continue
-            if i < min_leaf or len(ordered) - i < min_leaf:
+            if i < min_leaf or n - i < min_leaf:
                 continue
             threshold = (values[i - 1] + values[i]) / 2.0
-            left = [y for (x, y) in ordered if x[f] < threshold]
-            right = [y for (x, y) in ordered if x[f] >= threshold]
-            gain = split_gain(labels, left, right)
+            if sweep and values[i - 1] < threshold <= values[i]:
+                # rows [0, i) are left of the threshold, rows [i, n) right
+                nr = n - i
+                h_left = -sum([(c / i) * log2(c / i) for c in left.values()])
+                h_right = -sum([(right[k] / nr) * log2(right[k] / nr)
+                                for k in right_orders[i]])
+                gain = base - (i / n * h_left + nr / n * h_right)
+            else:
+                gain = split_gain(
+                    labels, [y for (x, y) in ordered if x[f] < threshold],
+                    [y for (x, y) in ordered if x[f] >= threshold])
             if gain > best_gain:
                 best_gain = gain
                 best = (f, threshold, gain)
@@ -151,8 +195,12 @@ def train_model(instances, params: TrainParams | None = None) -> StatModel:
         if found is None:
             return _leaf(subset, classes)
         f, threshold, gain = found
-        left = [r for r in subset if r[0][f] < threshold]
-        right = [r for r in subset if r[0][f] >= threshold]
+        left, right = [], []
+        for r in subset:
+            if r[0][f] < threshold:
+                left.append(r)
+            elif r[0][f] >= threshold:      # a NaN goes to neither child
+                right.append(r)
         return Node(f, threshold, gain, len(subset),
                     build(left, depth + 1), build(right, depth + 1))
 

@@ -308,7 +308,11 @@ def measure_management_access(ctx: PluginContext) -> RawResult:
     mgmt_ports = _ports(ctx.criteria, "management_ports", (22, 23))
     found = ctx.net.scan_ports(ctx.initiator, ctx.device_id, mgmt_ports)
     open_ports = [p for p, _ in found]
-    creds = list(ctx.criteria.get("credentials", DEFAULT_CREDENTIALS))
+    creds = ctx.criteria.get("credentials", DEFAULT_CREDENTIALS)
+    if isinstance(creds, (list, tuple)):
+        creds = list(creds)
+    else:               # a scenario value: comma-separated credentials
+        creds = [c.strip() for c in str(creds).split(",") if c.strip()]
     spec = ctx.handle.spec
     for p in open_ports:
         declared = spec.ports[p].default_creds

@@ -19,7 +19,7 @@ from iotbed.profiler import TrainParams, extract_features, save_model, train_mod
 from iotbed.scenario import load_scenario
 from iotbed.sectests import PLUGINS
 from iotbed.sectests.portrisk import PortScoreEntry
-from iotbed.simnet import MemoryNetwork
+from iotbed.simnet import MemoryNetwork, read_capture
 from iotbed.simnet.context import haversine_m
 from iotbed.simnet.devspec import load_device_spec
 from iotbed.trace import read_trace
@@ -287,6 +287,40 @@ action: USER, SNIFFER, STOP, {}
     name = entries[-1].emitted_artifacts[0]
     assert name.endswith(".cap")
     assert os.path.getsize(os.path.join(report.run_dir, name)) > 0
+
+
+def test_sniffer_scope_is_a_set_of_device_ids(tmp_path):
+    # cam1 is a substring of cam10; a capture scoped to cam10 keeps none of
+    # cam1's records
+    text = """\
+scenario: scoped
+option: devices=cam.dev
+option: baseline_s=0
+
+test: tapped
+action: USER, SNIFFER, START, {scope=cam10}
+action: USER, CLOCK, SET, {advance_s=20}
+action: USER, SNIFFER, STOP, {}
+"""
+    fleet = CAMERA_TEXT + "\n" + CAMERA_TEXT.replace("cam1 ", "cam10 ")
+    report = run_dir_scenario(tmp_path, text, devices_text=fleet).run()
+    entries = read_trace(os.path.join(report.run_dir, "trace.jsonl"))
+    name, = entries[-1].emitted_artifacts
+    records = read_capture(os.path.join(report.run_dir, name))
+    assert records
+    assert all("cam10" in (r.src_addr, r.dst_addr) for r in records)
+    assert not any("cam1" in (r.src_addr, r.dst_addr) for r in records)
+
+
+def test_sniffer_scope_naming_no_device_rejected(tmp_path):
+    runner = run_dir_scenario(
+        tmp_path, "scenario: s\noption: devices=cam.dev\ntest: t\n"
+        "action: USER, SNIFFER, START, {scope=cam10}\n")
+    with pytest.raises(AnalysisError,
+                       match=r"scn\.scn:4: SNIFFER: unknown scope device "
+                             r"'cam10'"):
+        runner.run()
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_profile_model_option_adds_profiling_section(tmp_path):

@@ -7,6 +7,7 @@ import statistics
 import pytest
 
 from iotbed.errors import AnalysisError
+from iotbed.profiler import tree
 from iotbed.profiler.features import (
     SESSION_GAP_S,
     SUMMARY_LENGTH,
@@ -256,6 +257,94 @@ def test_best_split_tie_breaks_to_lowest_feature():
 def test_best_split_requires_strict_improvement():
     rows = [((0.0,), "a"), ((1.0,), "a"), ((0.0,), "b"), ((1.0,), "b")]
     assert best_split(rows, 1) is None  # no split beats zero gain
+
+
+def exhaustive_best_split(rows, min_leaf):
+    """best_split by brute force: for every candidate threshold both sides
+    are rebuilt with `x < threshold` and their entropies recounted, with
+    the arithmetic of split_gain, so its results are exact references."""
+    labels = [y for _, y in rows]
+    n = len(rows)
+    best = None
+    best_gain = 0.0
+    for f in range(len(rows[0][0])):
+        ordered = sorted(rows, key=lambda r: r[0][f])
+        values = [r[0][f] for r in ordered]
+        for i in range(1, n):
+            if values[i] == values[i - 1]:
+                continue
+            if i < min_leaf or n - i < min_leaf:
+                continue
+            threshold = (values[i - 1] + values[i]) / 2.0
+            left = [y for x, y in ordered if x[f] < threshold]
+            right = [y for x, y in ordered if x[f] >= threshold]
+            gain = oracle_entropy(labels) - (
+                len(left) / n * oracle_entropy(left)
+                + len(right) / n * oracle_entropy(right))
+            if gain > best_gain:
+                best_gain = gain
+                best = (f, threshold, gain)
+    return best
+
+
+# Adjacent floats whose midpoint rounds onto the lower one, so that
+# `x < threshold` puts fewer rows on the left than the sorted position says.
+ROUNDING_PAIRS = [(a, math.nextafter(a, math.inf))
+                  for a in (1.0, 4.0, 0.5, 1e16, 3.0)]
+
+
+def random_split_rows(rng):
+    n = rng.randrange(2, 70)
+    nf = rng.randrange(1, 4)
+    classes = "abcd"[:rng.choice((3, 4))]
+    a, b = rng.choice(ROUNDING_PAIRS)
+    palette = [0.0, 1.0, 2.0, a, b, rng.random()]
+    if rng.random() < 0.2:
+        palette = [rng.random() for _ in range(n)]   # few repeated values
+    if rng.random() < 0.05:
+        palette.append(math.nan)
+    return [(tuple(rng.choice(palette) for _ in range(nf)),
+             rng.choice(classes)) for _ in range(n)]
+
+
+def test_best_split_equals_exhaustive_search_exactly():
+    assert all((a + b) / 2 == a for a, b in ROUNDING_PAIRS)
+    rng = random.Random(15)
+    for trial in range(400):
+        rows = random_split_rows(rng)
+        min_leaf = rng.choice((1, 2, 5))
+        found = best_split(rows, min_leaf)
+        # repr: exact for floats, and a NaN threshold equals itself
+        assert repr(found) == repr(exhaustive_best_split(rows, min_leaf)), \
+            (trial, rows)
+    # A rounded midpoint wins only where min_leaf blocks the split before
+    # it; `x < 1.0` then leaves one row on the left.
+    a, b = ROUNDING_PAIRS[0]
+    rows = [((0.0,), "c"), ((a,), "c"), ((b,), "a"), ((b,), "b"),
+            ((b,), "a"), ((b,), "d")]
+    found = best_split(rows, 2)
+    assert found[1] == a
+    assert found == exhaustive_best_split(rows, 2)
+
+
+def test_training_with_exhaustive_search_writes_the_same_model(
+        tmp_path, monkeypatch):
+    # four overlapping classes; coarse rounding repeats values
+    rng = random.Random(2)
+    means = {"cam": (0.0, 1.0, 5.0), "hub": (0.5, 1.5, 4.0),
+             "plug": (1.0, 0.5, 4.5), "tv": (0.2, 0.8, 5.5)}
+    rows = [Row(tuple(round(rng.gauss(m, 0.6), 1) for m in means[c])
+                + (rng.choice(ROUNDING_PAIRS[0]),), c)
+            for c in means for _ in range(75)]
+    for params in (TrainParams(), TrainParams(max_depth=6, min_leaf=1)):
+        save_model(train_model(rows, params), str(tmp_path / "sweep.prof"))
+        with monkeypatch.context() as m:
+            m.setattr(tree, "best_split", exhaustive_best_split)
+            save_model(train_model(rows, params),
+                       str(tmp_path / "exhaustive.prof"))
+        sweep = (tmp_path / "sweep.prof").read_text()
+        assert sweep == (tmp_path / "exhaustive.prof").read_text()
+        assert sweep.count("\nN ") >= 10
 
 
 XOR = ([Row((0.0, 0.0), "alpha")] * 50 + [Row((1.0, 1.0), "alpha")] * 10

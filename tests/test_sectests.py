@@ -418,6 +418,20 @@ def test_management_access_grades():
     assert "refused" in v.detail
 
 
+def test_management_access_reads_a_credentials_string(camera_spec):
+    # a scenario value is a comma-separated list, not a string of letters;
+    # port 23's declared root:root joins whatever the scenario lists
+    for value, tried in (("admin:admin", 2), ("admin:admin, user:user", 3)):
+        net = MemoryNetwork(seed=7)
+        net.spawn_device(camera_spec, dut=True)
+        ctx = PluginContext(net=net, device_id="cam1",
+                            criteria={"credentials": value},
+                            rng=random.Random(0), initiator="test")
+        raw = measure("management_access", ctx)
+        assert raw.data["tried"] == tried
+        assert raw.data["accepted"] == [(23, "root:root")]
+
+
 def test_downgrade_grades():
     accepts = make_net("device: d type=cam connectivity=wifi\n"
                        "port: 443 service=https\n"
