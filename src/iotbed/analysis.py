@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from statistics import fmean, pstdev
 
 from .errors import AnalysisError
-from .records import dumps, load
+from .records import dumps, finite, load
 
 CHANNELS = ("network", "cpu", "memory", "filesystem")
 
@@ -262,7 +262,7 @@ def write_findings(findings: list[AttackFinding], path: str) -> None:
 
 def _float_pair(text: str, sep: str) -> tuple[float, float]:
     a, b = text.split(sep)
-    return float(a), float(b)
+    return finite(a), finite(b)
 
 
 def _findings(fields) -> list[AttackFinding]:
@@ -277,7 +277,7 @@ def _findings(fields) -> list[AttackFinding]:
         # classification is looked up last, so a finding contradicting its
         # corroboration is reported at its classification line
         findings.append(AttackFinding(
-            windows, location, float(fields[f"{p}.time"]),
+            windows, location, finite(fields[f"{p}.time"]),
             fields[f"{p}.corroboration"], fields[f"{p}.classification"], note))
     return findings
 

@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
-from .records import load
+from .records import finite, load
 from .simnet import BACKENDS
 
 ENV_CONFIG = "IOTBED_CONFIG"
@@ -42,7 +42,7 @@ def parse_config(values) -> CliConfig:
     """A validated CliConfig from the key=value pairs of a config file.
 
     Keys and values are stripped.  An unknown key, or a default_k or
-    default_window_s that is not a number, raises ValueError, which
+    default_window_s that is not a finite number, raises ValueError, which
     records.load reports at its line.
     """
     known = {f.name for f in fields(CliConfig)}
@@ -52,8 +52,8 @@ def parse_config(values) -> CliConfig:
         key = raw_key.strip()
         if key not in known:
             raise ValueError(f"unknown key {key!r}")
-        parsed[key] = float(value) if key in ("default_k",
-                                              "default_window_s") else value
+        parsed[key] = finite(value) if key in ("default_k",
+                                               "default_window_s") else value
     config = CliConfig(**parsed)
     config.validate()
     return config

@@ -1,32 +1,31 @@
 """Native decision tree over session summary vectors.
 
 Splits are binary and axis-aligned, chosen by information gain (entropy in
-bits) with candidate thresholds at midpoints between consecutive distinct
-feature values.  A value >= threshold routes right.  A split is admissible
-only if both children keep at least min_leaf instances.  Ties between
-equal-gain splits resolve to the lowest feature index, then the lowest
-threshold.  Trained models are immutable; classification is pure.
+bits) over finite feature values.  The threshold between consecutive
+distinct values a < b is their midpoint if it lies in (a, b], else b (two
+adjacent floats round their midpoint onto a), so `x < threshold` holds
+for exactly the values up to a; a value >= threshold routes right.  A
+split is admissible only if both children keep at least min_leaf
+instances.  Ties between equal-gain splits resolve to the lowest feature
+index, then the lowest threshold.  Trained models are immutable;
+classification is pure.
 
 The split search is the sorted sweep of CART and C4.5 (Breiman et al. 1984;
 Quinlan 1993): each feature is sorted once per node, and rows cross the
 threshold one at a time, moving their class count from the right side to
 the left.  Each side's entropy is summed in the order its classes first
 appear on that side, as class_entropy sums it, so every gain equals
-split_gain's on the same split bit for bit.  split_gain scores the
-candidates the sweep cannot: a midpoint that is not above the lower of its
-two values, as when two adjacent floats round onto it, and every threshold
-of a feature holding a NaN, where the sorted order says nothing about
-`x < threshold`.
+split_gain's on the same split bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import isnan, log2
+from math import isfinite, log2
 
 from ..errors import AnalysisError
-from ..records import Source
+from ..records import Source, finite
 
 MODEL_HEADER = "iotbed-profile-model v1"
 
@@ -127,7 +126,6 @@ def best_split(rows: list[tuple[tuple[float, ...], str]],
         ordered = sorted(rows, key=lambda r: r[0][f])
         values = [r[0][f] for r in ordered]
         ys = [r[1] for r in ordered]
-        sweep = not any(map(isnan, values))
         right_orders = _suffix_orders(ys)
         left: dict[str, int] = {}
         right = dict(totals)
@@ -140,17 +138,14 @@ def best_split(rows: list[tuple[tuple[float, ...], str]],
             if i < min_leaf or n - i < min_leaf:
                 continue
             threshold = (values[i - 1] + values[i]) / 2.0
-            if sweep and values[i - 1] < threshold <= values[i]:
-                # rows [0, i) are left of the threshold, rows [i, n) right
-                nr = n - i
-                h_left = -sum([(c / i) * log2(c / i) for c in left.values()])
-                h_right = -sum([(right[k] / nr) * log2(right[k] / nr)
-                                for k in right_orders[i]])
-                gain = base - (i / n * h_left + nr / n * h_right)
-            else:
-                gain = split_gain(
-                    labels, [y for (x, y) in ordered if x[f] < threshold],
-                    [y for (x, y) in ordered if x[f] >= threshold])
+            if not values[i - 1] < threshold <= values[i]:
+                threshold = values[i]
+            # rows [0, i) are left of the threshold, rows [i, n) right
+            nr = n - i
+            h_left = -sum([(c / i) * log2(c / i) for c in left.values()])
+            h_right = -sum([(right[k] / nr) * log2(right[k] / nr)
+                            for k in right_orders[i]])
+            gain = base - (i / n * h_left + nr / n * h_right)
             if gain > best_gain:
                 best_gain = gain
                 best = (f, threshold, gain)
@@ -180,6 +175,8 @@ def train_model(instances, params: TrainParams | None = None) -> StatModel:
     n_features = len(instances[0].summary)
     rows = [(tuple(float(v) for v in inst.summary), inst.label)
             for inst in instances]
+    if not all(isfinite(v) for x, _ in rows for v in x):
+        raise AnalysisError("non-finite feature value in training set")
     classes = tuple(sorted({y for _, y in rows}))
     if len(classes) == 1:
         warnings.warn(f"training set has a single class {classes[0]!r}; "
@@ -199,7 +196,7 @@ def train_model(instances, params: TrainParams | None = None) -> StatModel:
         for r in subset:
             if r[0][f] < threshold:
                 left.append(r)
-            elif r[0][f] >= threshold:      # a NaN goes to neither child
+            else:
                 right.append(r)
         return Node(f, threshold, gain, len(subset),
                     build(left, depth + 1), build(right, depth + 1))
@@ -277,19 +274,19 @@ def _read_node(lines, classes: tuple[str, ...], n_features: int):
         dist = {}
         for part in dist_text.split(","):
             cls, _, prob = part.rpartition(":")
-            dist[cls] = float(prob)
+            dist[cls] = finite(prob)
         if sorted(dist) != sorted(classes):
             raise ValueError(f"leaf classes {sorted(dist)} are not the "
                              f"model's classes {sorted(classes)}")
         return Leaf(dist, int(size_text))
     if kind == "N":
         feature, threshold, gain, size = rest.split()
-        if not 0 <= int(feature) < n_features:
+        # parsed before the children are read, so an error names this line
+        values = (int(feature), finite(threshold), finite(gain), int(size))
+        if not 0 <= values[0] < n_features:
             raise ValueError(f"feature {feature} outside 0..{n_features - 1}")
-        left = _read_node(lines, classes, n_features)
-        right = _read_node(lines, classes, n_features)
-        return Node(int(feature), float(threshold), float(gain),
-                    int(size), left, right)
+        return Node(*values, _read_node(lines, classes, n_features),
+                    _read_node(lines, classes, n_features))
     raise ValueError(f"bad model line: {line!r}")
 
 

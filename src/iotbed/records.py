@@ -9,14 +9,25 @@ verbatim.  The scenario, template and device-spec files hold one
 whitespace-separated columns; all of them are read through Source.  A
 KeyError or ValueError raised while a file is parsed becomes
 AnalysisError("<path>:<line>: ..."), so a malformed file exits 2, not 1.
+Every float field of every reader is read with finite, which raises that
+ValueError on nan and +-inf as well.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from contextlib import contextmanager
+from math import isfinite
 
 from .errors import AnalysisError
+
+
+def finite(text: str) -> float:
+    """float(text); ValueError if it is nan or +-inf."""
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def dumps(pairs) -> str:

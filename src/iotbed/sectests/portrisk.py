@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..records import finite
 from .verdict import Grade
 from .vulndb import _read_csv
 
@@ -38,7 +39,7 @@ def load_score_list(path: str) -> dict[int, PortScoreEntry]:
     entries: dict[int, PortScoreEntry] = {}
 
     def add(row: list[str]) -> None:
-        port, score = int(row[0]), float(row[2])
+        port, score = int(row[0]), finite(row[2])
         if score < 0:
             raise ValueError("negative score")
         if port in entries:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..records import load_lines
+from ..records import finite, load_lines
 from .payload import find_gps_marker, shannon_entropy
 
 
@@ -99,10 +99,10 @@ def write_capture(records: list[CaptureRecord], path: str) -> None:
 def _capture_record(kv: dict[str, str]) -> CaptureRecord:
     marker = kv["payload_marker"]
     return CaptureRecord(
-        seq=int(kv["seq"]), ts=float(kv["ts"]), src_addr=kv["src_addr"],
+        seq=int(kv["seq"]), ts=finite(kv["ts"]), src_addr=kv["src_addr"],
         dst_addr=kv["dst_addr"], src_port=int(kv["src_port"]),
         dst_port=int(kv["dst_port"]), proto=kv["proto"], ttl=int(kv["ttl"]),
-        size=int(kv["size"]), payload_entropy=float(kv["payload_entropy"]),
+        size=int(kv["size"]), payload_entropy=finite(kv["payload_entropy"]),
         payload_marker=None if marker == "-" else marker,
         direction=kv["direction"], kind=kv.get("kind", ""))
 

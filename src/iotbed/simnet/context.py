@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from ..records import Source
+from ..records import Source, finite
 
 EARTH_RADIUS_M = 6371000.0
 SECONDS_PER_DAY = 86400
@@ -111,7 +111,7 @@ def load_trajectory(path: str) -> list[ContextEvent]:
             fields = text.split("#", 1)[0].split()
             if len(fields) not in (3, 4):
                 raise ValueError("expected: t lat lon [day]")
-            t, lat, lon = (float(f) for f in fields[:3])
+            t, lat, lon = map(finite, fields[:3])
             day = Day(fields[3].upper()) if len(fields) == 4 \
                 else day_for_time(t)
             if samples and t <= samples[-1].t:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from ..records import Source, directives
+from ..records import Source, directives, finite
 from .context import ContextPredicate
 
 # Ordered sensitivity ladder for stored data.
@@ -254,14 +254,14 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                 for name in ("size_mean", "size_stddev", "gap_ms",
                              "gap_stddev_ms", "session_rate"):
                     if name in kv:
-                        setattr(t, name, float(kv[name]))
+                        setattr(t, name, finite(kv[name]))
                 if "ttl" in kv:
                     t.ttl = int(kv["ttl"])
                 need().traffic = t
             elif key == "timing_range":
                 _, kv = _split_kv(tokens)
-                need().timing_min_ms = float(kv["min_ms"])
-                need().timing_max_ms = float(kv["max_ms"])
+                need().timing_min_ms = finite(kv["min_ms"])
+                need().timing_max_ms = finite(kv["max_ms"])
             elif key == "robustness":
                 _, kv = _split_kv(tokens)
                 if "ignores_malformed" in kv:
@@ -294,17 +294,17 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                 for name in ("period_s", "cpu_base", "cpu_noise", "cpu_spike",
                              "mem_base", "mem_noise", "mem_spike"):
                     if name in kv:
-                        setattr(m, name, float(kv[name]))
+                        setattr(m, name, finite(kv[name]))
             elif key == "compromise":
                 _, kv = _split_kv(tokens)
                 window_start = window_end = None
                 if "window" in kv:
                     lo, _, hi = kv["window"].partition("-")
-                    window_start, window_end = float(lo), float(hi)
+                    window_start, window_end = finite(lo), finite(hi)
                 trigger = ContextPredicate(
-                    center_lat=float(kv["lat"]) if "lat" in kv else None,
-                    center_lon=float(kv["lon"]) if "lon" in kv else None,
-                    radius_m=float(kv["radius_m"]) if "radius_m" in kv else None,
+                    center_lat=finite(kv["lat"]) if "lat" in kv else None,
+                    center_lon=finite(kv["lon"]) if "lon" in kv else None,
+                    radius_m=finite(kv["radius_m"]) if "radius_m" in kv else None,
                     window_start=window_start,
                     window_end=window_end,
                 )
@@ -312,15 +312,15 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     trigger=trigger,
                     probe_ports=_int_list(
                         kv.get("ports", "21,22,23,80,443,8080,8883,9100")),
-                    probe_interval_ms=float(kv.get("interval_ms", "25")),
+                    probe_interval_ms=finite(kv.get("interval_ms", "25")),
                     targets=_str_list(kv.get("targets", "")),
                 )
             elif key == "false_alarm":
                 _, kv = _split_kv(tokens)
                 need().false_alarm = FalseAlarmSpec(
-                    at_s=float(kv["at_s"]),
+                    at_s=finite(kv["at_s"]),
                     packets=int(kv.get("packets", "40")),
-                    gap_ms=float(kv.get("gap_ms", "50")),
+                    gap_ms=finite(kv.get("gap_ms", "50")),
                 )
             else:
                 raise ValueError(f"unknown property {key!r}")

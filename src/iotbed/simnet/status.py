@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..records import load_lines
+from ..records import finite, load_lines
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,8 @@ def write_status(samples: list[InternalStatusSample], path: str) -> None:
 
 def _status_sample(kv: dict[str, str]) -> InternalStatusSample:
     return InternalStatusSample(
-        ts=float(kv["ts"]), device_id=kv["device"],
-        cpu_pct=float(kv["cpu_pct"]), mem_bytes=float(kv["mem_bytes"]),
+        ts=finite(kv["ts"]), device_id=kv["device"],
+        cpu_pct=finite(kv["cpu_pct"]), mem_bytes=finite(kv["mem_bytes"]),
         fs_events=int(kv["fs_events"]))
 
 

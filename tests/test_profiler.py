@@ -262,7 +262,9 @@ def test_best_split_requires_strict_improvement():
 def exhaustive_best_split(rows, min_leaf):
     """best_split by brute force: for every candidate threshold both sides
     are rebuilt with `x < threshold` and their entropies recounted, with
-    the arithmetic of split_gain, so its results are exact references."""
+    the arithmetic of split_gain, so its results are exact references.
+    The threshold rule is best_split's: between values a < b, the
+    midpoint if it lies in (a, b], else b."""
     labels = [y for _, y in rows]
     n = len(rows)
     best = None
@@ -276,6 +278,8 @@ def exhaustive_best_split(rows, min_leaf):
             if i < min_leaf or n - i < min_leaf:
                 continue
             threshold = (values[i - 1] + values[i]) / 2.0
+            if not values[i - 1] < threshold <= values[i]:
+                threshold = values[i]
             left = [y for x, y in ordered if x[f] < threshold]
             right = [y for x, y in ordered if x[f] >= threshold]
             gain = oracle_entropy(labels) - (
@@ -301,8 +305,6 @@ def random_split_rows(rng):
     palette = [0.0, 1.0, 2.0, a, b, rng.random()]
     if rng.random() < 0.2:
         palette = [rng.random() for _ in range(n)]   # few repeated values
-    if rng.random() < 0.05:
-        palette.append(math.nan)
     return [(tuple(rng.choice(palette) for _ in range(nf)),
              rng.choice(classes)) for _ in range(n)]
 
@@ -314,16 +316,15 @@ def test_best_split_equals_exhaustive_search_exactly():
         rows = random_split_rows(rng)
         min_leaf = rng.choice((1, 2, 5))
         found = best_split(rows, min_leaf)
-        # repr: exact for floats, and a NaN threshold equals itself
-        assert repr(found) == repr(exhaustive_best_split(rows, min_leaf)), \
-            (trial, rows)
-    # A rounded midpoint wins only where min_leaf blocks the split before
-    # it; `x < 1.0` then leaves one row on the left.
+        assert found == exhaustive_best_split(rows, min_leaf), (trial, rows)
+    # The midpoint of a and b rounds onto a, so the threshold is b, and
+    # `x < b` keeps both rows up to a on the left, as min_leaf asks.
     a, b = ROUNDING_PAIRS[0]
     rows = [((0.0,), "c"), ((a,), "c"), ((b,), "a"), ((b,), "b"),
             ((b,), "a"), ((b,), "d")]
     found = best_split(rows, 2)
-    assert found[1] == a
+    assert found[1] == b
+    assert sum(x[0] < b for x, _ in rows) == 2          # a 2/4 split
     assert found == exhaustive_best_split(rows, 2)
 
 
@@ -382,6 +383,26 @@ def test_unlabeled_instance_rejected():
         train_model([Row((0.0,), "a"), Row((1.0,), None)])
     with pytest.raises(AnalysisError):
         train_model([])
+
+
+def test_non_finite_feature_rejected():
+    rng = random.Random(16)
+    for bad in (math.nan, math.inf, -math.inf):
+        rows = [Row((rng.choice((0.0, 1.0, 2.0, bad)),), rng.choice("abc"))
+                for _ in range(29)] + [Row((bad,), "a")]
+        with pytest.raises(AnalysisError, match="non-finite"):
+            train_model(rows, TrainParams(min_leaf=1))
+
+
+def test_min_leaf_holds_where_a_midpoint_rounds_onto_its_lower_value():
+    a, b = ROUNDING_PAIRS[0]
+    rows = [Row((0.0,), "c"), Row((a,), "c")] + [
+        Row((b,), y) for y in "abad"]
+    model = train_model(rows, TrainParams(max_depth=3, min_leaf=2))
+    assert isinstance(model.tree, Node)
+    for node in model.nodes():
+        if isinstance(node, Node):
+            assert node.left.size >= 2 and node.right.size >= 2
 
 
 def test_min_leaf_respected_everywhere():

@@ -95,7 +95,7 @@ def files(tmp_path_factory):
         "default_window_s=5.0\ntransport_backend=memory\n")
     return {"run": run_dir, "captures": captures, "inputs": inputs,
             "model": base / "model.prof", "config": base / "iotbed.conf",
-            "labels": base / "train.labels"}
+            "labels": base / "train.labels", "scores": base / "scores.csv"}
 
 
 def sha256(data: bytes) -> str:
@@ -153,13 +153,12 @@ def mutations(text: str, seed: int, n: int = 20) -> list[str]:
     return out
 
 
-def fuzz_cases(files, tmp):
-    """(what, mutation number, argv maker or reader, path) for every
-    mutation of every file; status and findings have only a reader.  An
-    input file is mutated in a copy of the whole input folder."""
+def file_targets(files, tmp):
+    """(path, argv maker or reader) of every file type; status and
+    findings have only a reader, no command reads them alone."""
     run = files["run"]
     good_capture = str(files["captures"] / "cam.cap")
-    targets = {
+    return {
         "capture": (run / "capture.cap", lambda p: [
             "profile", "test", "--model", str(files["model"]),
             "--capture", p, "--device", "cam1"]),
@@ -175,21 +174,34 @@ def fuzz_cases(files, tmp):
             "--labels", p, "--out", str(tmp / "out.prof")]),
         "status": (run / "status.rec", read_status),
         "findings": (run / "findings.rec", read_findings),
+        **input_targets(files, tmp),
     }
+
+
+def write_case(files, folder, what, name, text) -> str:
+    """Write text as folder/name; an input file is written into a copy of
+    the whole input folder."""
+    if what in INPUTS:
+        shutil.copytree(files["inputs"], folder)
+    else:
+        folder.mkdir()
+    path = folder / name
+    path.write_text(text)
+    return str(path)
+
+
+def fuzz_cases(files, tmp):
+    """(what, mutation number, argv maker or reader, path) for every
+    mutation of every file, artifacts first, then inputs."""
+    targets = sorted(file_targets(files, tmp).items(),
+                     key=lambda item: (item[0] in INPUTS, item[0]))
     cases = []
-    inputs = sorted(input_targets(files, tmp).items())
-    for seed, (what, (source, use)) in enumerate(
-            sorted(targets.items()) + inputs):
+    for seed, (what, (source, use)) in enumerate(targets):
         n = 8 if what in INPUTS else 20
         for i, text in enumerate(mutations(source.read_text(), seed, n)):
-            folder = tmp / f"{what}-{i}"
-            if what in INPUTS:
-                shutil.copytree(files["inputs"], folder)
-            else:
-                folder.mkdir()
-            path = folder / source.name
-            path.write_text(text)
-            cases.append((what, i, use, str(path)))
+            path = write_case(files, tmp / f"{what}-{i}", what, source.name,
+                              text)
+            cases.append((what, i, use, path))
     return cases
 
 
@@ -266,10 +278,16 @@ def test_corrupted_files_exit_2_or_read_cleanly(files, tmp_path, capsys):
 
 
 def test_corrupted_files_under_python_O(files, tmp_path):
-    # a truncation, a deleted = and a value set to x of each CLI input
+    # a truncation, a deleted = and a value set to x of each CLI input,
+    # then a non-finite number in each CLI input
     cases = [(what, use(path)) for what, i, use, path in
              fuzz_cases(files, tmp_path)
              if i in (0, 2, 3) and what not in ("status", "findings")]
+    non_finite = {}
+    for what, use, path, _ in non_finite_cases(files, tmp_path):
+        if what not in ("status", "findings"):
+            non_finite.setdefault(what, (what, use(path)))
+    cases += non_finite.values()
     script = (
         "import json, sys\n"
         "from iotbed.cli import main\n"
@@ -284,26 +302,120 @@ def test_corrupted_files_under_python_O(files, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     codes = json.loads(done.stdout.splitlines()[-1])
-    assert len(codes) == len(cases) == 5 * 3 + 4 * 3
+    assert len(codes) == len(cases) == 5 * 3 + 4 * 3 + 6
     for (_, argv), code in zip(cases, codes):
         assert code in ((0, 1, 2) if "run" in argv else (0, 2)), argv
     assert 2 in codes
+    assert codes[-6:] == [2] * 6
+
+
+# -- non-finite numbers -------------------------------------------------------
+
+# The conftest fleet with the float fields it leaves out, so that every
+# float field of a device spec is present.
+NON_FINITE_DEVICES = (
+    FLEET_TEXT.replace("gap_ms=100 ", "gap_ms=100 gap_stddev_ms=20 ")
+    .replace("cpu_spike=60\n",
+             "cpu_spike=60 mem_base=3e7 mem_noise=1e5 mem_spike=2e6\n")
+    .replace("interval_ms=50 ", "interval_ms=50 window=0-400 "))
+
+# Every float field of every file type, as a regex whose group is the value.
+NON_FINITE_FIELDS = {
+    "devices": [r"size_mean=(\S+)", r"size_stddev=(\S+)",
+                r"traffic:.* gap_ms=(\S+)", r"gap_stddev_ms=(\S+)",
+                r"session_rate=(\S+)", r"min_ms=(\S+)", r"max_ms=(\S+)",
+                r"period_s=(\S+)", r"cpu_base=(\S+)", r"cpu_noise=(\S+)",
+                r"cpu_spike=(\S+)", r"mem_base=(\S+)", r"mem_noise=(\S+)",
+                r"mem_spike=(\S+)", r"lat=(\S+)", r"lon=(\S+)",
+                r"radius_m=(\S+)", r"window=([^-\s]+)-",
+                r"window=[^-\s]+-(\S+)", r"interval_ms=(\S+)",
+                r"at_s=(\S+)", r"false_alarm:.* gap_ms=(\S+)"],
+    "trajectory": [r"^(\S+) \S+ \S+$", r"^\S+ (\S+) \S+$",
+                   r"^\S+ \S+ (\S+)$"],
+    "capture": [r" ts=(\S+)", r"payload_entropy=(\S+)"],
+    "status": [r"^ts=(\S+)", r"cpu_pct=(\S+)", r"mem_bytes=(\S+)"],
+    "config": [r"default_k=(.*)", r"default_window_s=(.*)"],
+    "model": [r"^L \d+ [^:\n]+:([^,\n]+)", r"^N \d+ (\S+)",
+              r"^N \d+ \S+ (\S+)"],
+    "scores": [r"^\d+,[^,\n]*,(.*)$"],
+    "findings": [r"\.time=(.*)", r"\.location=([^,\n]+),",
+                 r"\.location=[^,\n]+,(.*)", r"\.windows=([^:\n]+):",
+                 r"\.windows=[^:\n]+:([^;\n]+)"],
+}
+
+
+def non_finite_cases(files, tmp):
+    """(what, argv maker or reader, path, line) with nan, inf and -inf in
+    turn written into every float field of every file type, each at a
+    seeded choice among the places the field holds in its file."""
+    targets = file_targets(files, tmp)
+    targets["scores"] = (files["scores"], lambda p: [
+        "scan", str(files["inputs"] / "devices.dev"), "--score-list", p])
+    rng = random.Random(16)
+    cases = []
+    for what, patterns in sorted(NON_FINITE_FIELDS.items()):
+        source, use = targets[what]
+        text = NON_FINITE_DEVICES if what == "devices" else source.read_text()
+        for pattern in patterns:
+            spans = [m.span(1) for m in re.finditer(pattern, text, re.M)]
+            assert spans, (what, pattern)
+            for bad in ("nan", "inf", "-inf"):
+                start, end = rng.choice(spans)
+                path = write_case(files, tmp / f"{what}-{bad}-{len(cases)}",
+                                  what, source.name,
+                                  text[:start] + bad + text[end:])
+                cases.append((what, use, path, text.count("\n", 0, start) + 1))
+    return cases
+
+
+def test_non_finite_numbers_exit_2_at_their_line(files, tmp_path, capsys):
+    cases = non_finite_cases(files, tmp_path)
+    assert len(cases) == 3 * sum(map(len, NON_FINITE_FIELDS.values()))
+    for what, use, path, line in cases:
+        where = f"{path}:{line}: "
+        if what in ("status", "findings"):
+            with pytest.raises(AnalysisError) as raised:
+                use(path)
+            assert str(raised.value).startswith(where), (what, where)
+            continue
+        code = main(use(path))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {where}"), \
+            (what, path, line, err)
+
+
+def source_nodes(names=None):
+    """(module path within the package, node) of every syntax node of the
+    package's modules, or of the modules named."""
+    package = os.path.dirname(iotbed.__file__)
+    if names is None:
+        names = sorted(os.path.relpath(os.path.join(folder, name), package)
+                       for folder, _, files in os.walk(package)
+                       for name in files if name.endswith(".py"))
+    for name in names:
+        path = os.path.join(package, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def test_source_has_no_assert_statements():
     # `python -O` strips asserts, so no check in the package may be one
-    package = os.path.dirname(iotbed.__file__)
-    found = []
-    for folder, _, names in os.walk(package):
-        for name in sorted(names):
-            if not name.endswith(".py"):
-                continue
-            path = os.path.join(folder, name)
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += [f"{os.path.relpath(path, package)}:{node.lineno}"
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+    found = [f"{name}:{node.lineno}" for name, node in source_nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_readers_parse_no_float_by_hand():
+    # float() accepts nan and inf; these readers take every float field
+    # through records.finite, which rejects them at the field's line
+    readers = ("simnet/devspec.py", "simnet/context.py", "simnet/capture.py",
+               "simnet/status.py", "config.py", "sectests/portrisk.py",
+               "analysis.py")
+    found = [f"{name}:{node.lineno}" for name, node in source_nodes(readers)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "float"]
     assert found == []
 
 
