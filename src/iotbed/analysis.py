@@ -15,9 +15,10 @@ Everything here is a pure function over immutable captured data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import fmean, pstdev
+from statistics import fmean
 
 from .errors import AnalysisError
+from .profiler.features import pstdev
 from .records import dumps, finite, load
 
 CHANNELS = ("network", "cpu", "memory", "filesystem")

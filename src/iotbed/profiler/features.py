@@ -10,14 +10,18 @@ timeout, and each session is summarized into a fixed 10-dimensional vector:
     4 inter_arrival_ms mean   9 direction ratio (src == first packet's src)
 
 Statistics use the population stddev and include the first packet's zero
-inter-arrival, so a one-packet session is well defined.
+inter-arrival, so a one-packet session is well defined.  The stddev is
+computed exactly in integers and rounded once, so it is the correctly
+rounded value and the same on CPython 3.10 to 3.13 (statistics.pstdev
+rounds twice on 3.10).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from statistics import fmean, pstdev
+from math import isqrt
+from statistics import fmean
 
 SUMMARY_LENGTH = 10
 SESSION_GAP_S = 30.0
@@ -27,6 +31,34 @@ SUMMARY_NAMES = (
     "gap_mean_ms", "gap_stddev_ms", "modal_ttl",
     "packet_count", "byte_count", "direction_ratio",
 )
+
+
+def pstdev(values) -> float:
+    """Population standard deviation of ints and floats, correctly rounded.
+
+    Each value is an integer over a power of two, so over the largest such
+    denominator d the n values are exact integers x, and so are their sums.
+    The variance (n*sum(x*x) - sum(x)**2) / (n*d)**2 gets an integer square
+    root of at least 54 bits, rounded to odd (its last bit set if inexact),
+    which then rounds once to the nearest float: the rule of CPython 3.11+
+    statistics (bpo-45876), so every interpreter gives the same result.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    xs = [num * (d // den) for num, den in ratios]
+    n = len(xs)
+    total = sum(xs)
+    num = n * sum(x * x for x in xs) - total * total
+    den = (n * d) ** 2
+    # scale num / den by 4**-q to 2*53 + 3 bits or more, then back by 2**q
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = isqrt(num // den)
+    root |= root * root * den != num
+    return root * 2.0 ** q if q >= 0 else root / (1 << -q)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ classification is pure.
 The split search is the sorted sweep of CART and C4.5 (Breiman et al. 1984;
 Quinlan 1993): each feature is sorted once per node, and rows cross the
 threshold one at a time, moving their class count from the right side to
-the left.  Each side's entropy is summed in the order its classes first
-appear on that side, as class_entropy sums it, so every gain equals
-split_gain's on the same split bit for bit.
+the left.  Every entropy is summed with math.fsum, which rounds the exact
+sum once whatever the order of its terms, so every gain equals
+split_gain's on the same split bit for bit, and a model file is the same
+on every CPython version.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import isfinite, log2
+from math import fsum, isfinite, log2
 
 from ..errors import AnalysisError
 from ..records import Source, finite
@@ -83,7 +84,7 @@ def class_entropy(labels) -> float:
     counts: dict[str, int] = {}
     for y in labels:
         counts[y] = counts.get(y, 0) + 1
-    return -sum((c / n) * log2(c / n) for c in counts.values())
+    return -fsum((c / n) * log2(c / n) for c in counts.values())
 
 
 def split_gain(labels, left_labels, right_labels) -> float:
@@ -91,18 +92,6 @@ def split_gain(labels, left_labels, right_labels) -> float:
     weighted = (len(left_labels) / n * class_entropy(left_labels)
                 + len(right_labels) / n * class_entropy(right_labels))
     return class_entropy(labels) - weighted
-
-
-def _suffix_orders(ys: list[str]) -> list[tuple[str, ...]]:
-    """orders[i]: the classes of ys[i:] in the order they first appear."""
-    orders: list[tuple[str, ...]] = [()] * len(ys)
-    current: tuple[str, ...] = ()
-    for i in range(len(ys) - 1, -1, -1):
-        y = ys[i]
-        if not current or current[0] != y:
-            current = (y,) + tuple(c for c in current if c != y)
-        orders[i] = current
-    return orders
 
 
 def best_split(rows: list[tuple[tuple[float, ...], str]],
@@ -126,7 +115,6 @@ def best_split(rows: list[tuple[tuple[float, ...], str]],
         ordered = sorted(rows, key=lambda r: r[0][f])
         values = [r[0][f] for r in ordered]
         ys = [r[1] for r in ordered]
-        right_orders = _suffix_orders(ys)
         left: dict[str, int] = {}
         right = dict(totals)
         for i in range(1, n):
@@ -142,9 +130,9 @@ def best_split(rows: list[tuple[tuple[float, ...], str]],
                 threshold = values[i]
             # rows [0, i) are left of the threshold, rows [i, n) right
             nr = n - i
-            h_left = -sum([(c / i) * log2(c / i) for c in left.values()])
-            h_right = -sum([(right[k] / nr) * log2(right[k] / nr)
-                            for k in right_orders[i]])
+            h_left = -fsum([(c / i) * log2(c / i) for c in left.values()])
+            h_right = -fsum([(c / nr) * log2(c / nr)
+                             for c in right.values() if c])
             gain = base - (i / n * h_left + nr / n * h_right)
             if gain > best_gain:
                 best_gain = gain

@@ -10,7 +10,9 @@ whitespace-separated columns; all of them are read through Source.  A
 KeyError or ValueError raised while a file is parsed becomes
 AnalysisError("<path>:<line>: ..."), so a malformed file exits 2, not 1.
 Every float field of every reader is read with finite, which raises that
-ValueError on nan and +-inf as well.
+ValueError on nan and +-inf as well; an integer field that the profiler
+turns into a float (a capture's size and ttl, a device's ttl) is read
+with integer, which raises it for a value past the float range.
 """
 
 from __future__ import annotations
@@ -27,6 +29,17 @@ def finite(text: str) -> float:
     value = float(text)
     if not isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def integer(text: str) -> int:
+    """int(text); ValueError if float() of it overflows."""
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{len(text)}-character integer is out of the "
+                         "float range") from None
     return value
 
 
@@ -111,10 +124,13 @@ def load(path: str, build):
         return build(Fields(source))
 
 
+def pairs(text: str) -> dict[str, str]:
+    """The key=value tokens of a record line as a dict."""
+    return dict(token.split("=", 1) for token in text.split())
+
+
 def load_lines(path: str, build) -> list:
-    """build(tokens) for each record line of path, tokens being the line's
-    key=value pairs as a dict."""
+    """build(pairs(text)) for each record line of path."""
     source = Source(path)
     with source.parsing():
-        return [build(dict(token.split("=", 1) for token in text.split()))
-                for text in source]
+        return [build(pairs(text)) for text in source]

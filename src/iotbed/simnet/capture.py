@@ -7,15 +7,20 @@ field names (ts, src_addr, dst_addr, src_port, dst_port, proto, ttl, size,
 payload_entropy, payload_marker, direction) plus seq and kind for
 bookkeeping.
 
+read_capture matches each line in write_capture's layout with one regex;
+a line in any other order or spacing is split token by token instead, and
+both go through the same conversion.
+
 The transport counts every record it emits; comparing that counter with
 the tap length is the capture-completeness invariant the tests lean on.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from ..records import finite, load_lines
+from ..records import Source, finite, integer, pairs
 from .payload import find_gps_marker, shannon_entropy
 
 
@@ -83,6 +88,14 @@ class CaptureTap:
         return [r for r in self._records if t0 <= r.ts < t1]
 
 
+# The fields of a capture line in the order write_capture writes them.
+CAPTURE_FIELDS = ("seq", "ts", "src_addr", "dst_addr", "src_port", "dst_port",
+                  "proto", "ttl", "size", "payload_entropy", "payload_marker",
+                  "direction", "kind")
+CAPTURE_LAYOUT = re.compile(" ".join(f"{name}=(?P<{name}>\\S*)"
+                                     for name in CAPTURE_FIELDS) + "\n?")
+
+
 def write_capture(records: list[CaptureRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
@@ -98,15 +111,24 @@ def write_capture(records: list[CaptureRecord], path: str) -> None:
 
 def _capture_record(kv: dict[str, str]) -> CaptureRecord:
     marker = kv["payload_marker"]
+    size = integer(kv["size"])
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
     return CaptureRecord(
         seq=int(kv["seq"]), ts=finite(kv["ts"]), src_addr=kv["src_addr"],
         dst_addr=kv["dst_addr"], src_port=int(kv["src_port"]),
-        dst_port=int(kv["dst_port"]), proto=kv["proto"], ttl=int(kv["ttl"]),
-        size=int(kv["size"]), payload_entropy=finite(kv["payload_entropy"]),
+        dst_port=int(kv["dst_port"]), proto=kv["proto"],
+        ttl=integer(kv["ttl"]), size=size,
+        payload_entropy=finite(kv["payload_entropy"]),
         payload_marker=None if marker == "-" else marker,
         direction=kv["direction"], kind=kv.get("kind", ""))
 
 
 def read_capture(path: str) -> list[CaptureRecord]:
     """Records of a capture file; AnalysisError with path:line if malformed."""
-    return load_lines(path, _capture_record)
+    source = Source(path)
+    match = CAPTURE_LAYOUT.fullmatch
+    with source.parsing():
+        return [_capture_record(m.groupdict() if (m := match(text))
+                                else pairs(text))
+                for text in source]

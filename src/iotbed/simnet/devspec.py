@@ -29,7 +29,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from ..records import Source, directives, finite
+from ..records import Source, directives, finite, integer
 from .context import ContextPredicate
 
 # Ordered sensitivity ladder for stored data.
@@ -256,7 +256,7 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     if name in kv:
                         setattr(t, name, finite(kv[name]))
                 if "ttl" in kv:
-                    t.ttl = int(kv["ttl"])
+                    t.ttl = integer(kv["ttl"])
                 need().traffic = t
             elif key == "timing_range":
                 _, kv = _split_kv(tokens)

@@ -1,8 +1,10 @@
 """Traffic profiling: session features, the decision tree, device profiles."""
 
+import hashlib
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +16,7 @@ from iotbed.profiler.features import (
     SUMMARY_NAMES,
     SequenceInstance,
     extract_features,
+    pstdev,
     summarize,
 )
 from iotbed.profiler.profile import (
@@ -84,6 +87,26 @@ def test_single_session_summary_against_stats_oracle():
     assert inst.summary[8] == 350.0
     # 2 of 3 packets share the first packet's source
     assert inst.summary[9] == pytest.approx(2 / 3)
+
+
+def test_pstdev_is_correctly_rounded():
+    # the float nearest the exact stddev: the exact variance lies between
+    # the squares of the midpoints to the floats on either side
+    rng = random.Random(17)
+    for trial in range(400):
+        n = rng.randrange(1, 30)
+        values = ([rng.randrange(40, 1500) for _ in range(n)] if trial % 2
+                  else [0.0] + [rng.gauss(100, 20) for _ in range(n - 1)])
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / n
+        variance = sum((v - mean) ** 2 for v in exact) / n
+        s = pstdev(values)
+        if variance == 0:
+            assert s == 0.0
+            continue
+        below = (Fraction(s) + Fraction(math.nextafter(s, 0.0))) / 2
+        above = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+        assert below ** 2 <= variance <= above ** 2, values
 
 
 def test_modal_ttl_tie_breaks_to_smallest():
@@ -188,8 +211,8 @@ def oracle_entropy(labels):
     if n == 0:
         return 0.0
     from collections import Counter
-    return -sum((c / n) * math.log2(c / n)
-                for c in Counter(labels).values())
+    return -math.fsum((c / n) * math.log2(c / n)
+                      for c in Counter(labels).values())
 
 
 def oracle_best_gain(rows, min_leaf):
@@ -487,11 +510,36 @@ def test_load_model_rejects_foreign_files(tmp_path):
         load_model(str(path))
 
 
+# sha256 of the model trained on PINNED_CLASSES.  With the stddev and the
+# entropy sums rounded as each interpreter's statistics.pstdev and sum()
+# round them, this corpus gives a different file on each of CPython 3.10,
+# 3.11 and 3.12; the CI matrix checks that it is one file on every version.
+PINNED_MODEL = (
+    "2548b963b197eb583468cd90c2db29a77107081c"
+    "7b5a068ad091905530580246")
+# device, size mean, gap ms, spread: three classes differ only in spread
+PINNED_CLASSES = (("cam", 400, 100, 0.05), ("hub", 400, 100, 0.2),
+                  ("plug", 400, 100, 0.4), ("tv", 300, 150, 0.1),
+                  ("mote", 300, 150, 0.3))
+
+
+def test_trained_model_file_is_pinned(tmp_path):
+    rng = random.Random(3)
+    train = [inst.with_label(device)
+             for device, size_mean, gap_ms, spread in PINNED_CLASSES
+             for inst in extract_features(synth_capture(
+                 rng, device, size_mean, gap_ms, 64, 40, spread=spread))]
+    path = tmp_path / "pinned.prof"
+    save_model(train_model(train), str(path))
+    assert path.read_text().count("\nN ") == 10
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_MODEL
+
+
 # -- device profiles --------------------------------------------------------
 
 
 def synth_capture(rng, device, size_mean, gap_ms, ttl, sessions, t0=0.0,
-                  peer="cloud"):
+                  peer="cloud", spread=0.05):
     records = []
     seq = rng.randrange(10 ** 6)
     t = t0
@@ -500,10 +548,10 @@ def synth_capture(rng, device, size_mean, gap_ms, ttl, sessions, t0=0.0,
         ts = t
         for _ in range(rng.randrange(6, 12)):
             seq += 1
-            size = max(40, int(rng.gauss(size_mean, size_mean * 0.05)))
+            size = max(40, int(rng.gauss(size_mean, size_mean * spread)))
             records.append(rec(seq, ts, src=device, sport=sport, dst=peer,
                                dport=8883, size=size, ttl=ttl))
-            ts += rng.gauss(gap_ms, gap_ms * 0.05) / 1000.0
+            ts += rng.gauss(gap_ms, gap_ms * spread) / 1000.0
         t += SESSION_GAP_S + gap_ms / 1000.0 + 60.0
     return records
 

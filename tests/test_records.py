@@ -2,6 +2,7 @@
 of every artifact and input file; checks on the package source."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -21,8 +22,9 @@ from iotbed.analysis import read_findings
 from iotbed.cli import main
 from iotbed.errors import AnalysisError
 from iotbed.scenario import load_scenario
-from iotbed.simnet import (MemoryNetwork, load_trajectory, read_status,
-                           write_capture)
+from iotbed.simnet import (CaptureRecord, MemoryNetwork, load_trajectory,
+                           read_capture, read_status, write_capture)
+from iotbed.simnet.capture import CAPTURE_LAYOUT
 from iotbed.simnet.devspec import load_device_spec
 
 # sha256 of `iotbed --seed 7 run` on the conftest context scenario, taken
@@ -384,6 +386,85 @@ def test_non_finite_numbers_exit_2_at_their_line(files, tmp_path, capsys):
             (what, path, line, err)
 
 
+# An integer whose float() overflows in the session summaries.
+HUGE = "9" * 400
+OUT_OF_RANGE = (("size", HUGE), ("ttl", HUGE), ("ttl", "-" + HUGE),
+                ("size", "-1"), ("ttl", "x"))
+
+
+def test_out_of_range_integers_exit_2_at_their_line(files, tmp_path, capsys):
+    targets = file_targets(files, tmp_path)
+    train_labels = str(files["labels"])
+    training = (files["captures"] / "cam.cap", lambda p: [
+        "profile", "train", "--captures", os.path.dirname(p),
+        "--labels", train_labels, "--out", str(tmp_path / "out.prof")])
+    cases = [(target, field, bad) for target in (targets["capture"], training)
+             for field, bad in OUT_OF_RANGE]
+    cases.append((targets["devices"], "ttl", HUGE))
+    rng = random.Random(17)
+    for n, ((source, use), field, bad) in enumerate(cases):
+        text = source.read_text()
+        start, end = rng.choice([m.span(1) for m in re.finditer(
+            rf"\b{field}=(\S+)", text)])
+        folder = tmp_path / f"case-{n}"
+        shutil.copytree(source.parent, folder)
+        path = folder / source.name
+        path.write_text(text[:start] + bad + text[end:])
+        line = text.count("\n", 0, start) + 1
+        code = main(use(str(path)))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {path}:{line}: "), \
+            (n, err)
+
+
+def test_capture_of_any_ttl_a_spec_accepts_reads_back(tmp_path):
+    # the spec puts no range on ttl, so neither does the capture reader
+    for ttl in (-1, 0, 300, 2 ** 64):
+        spec, = load_text(load_device_spec,
+                          MOTE_TEXT.replace("ttl=32", f"ttl={ttl}"))
+        net = MemoryNetwork(seed=0)
+        net.spawn_device(spec, dut=True)
+        net.observe(30)
+        path = str(tmp_path / f"{ttl}.cap")
+        write_capture(net.tap.records, path)
+        assert {r.ttl for r in read_capture(path)} == {ttl}
+
+
+def test_capture_reader_reads_any_token_order_alike(files, tmp_path):
+    # every line write_capture writes is read with one match of the layout;
+    # a line in any other order, or with no kind, is split token by token,
+    # and both paths read the same record
+    marked = tmp_path / "marked.cap"
+    write_capture([CaptureRecord.build(
+        1, 2.5, "cam1", 80, "cloud", 443, 64, "", "from_dut",
+        b"pos GPS=32.08530,34.78180 end")], str(marked))
+    lines = [line for path in (files["run"] / "capture.cap",
+                               *sorted(files["captures"].glob("*.cap")),
+                               marked)
+             for line in path.read_text().splitlines(keepends=True)]
+    assert all(CAPTURE_LAYOUT.fullmatch(line) for line in lines)
+    rng = random.Random(17)
+    sample = rng.sample(lines, 40) + lines[-1:]
+    reordered = []
+    for line in sample:
+        tokens = line.split()
+        rng.shuffle(tokens)
+        reordered.append(" ".join(tokens) + "\n")
+    no_kind = [re.sub(r" kind=\S*", "", line) for line in sample]
+    read = {}
+    for name, variant in (("layout", sample), ("reordered", reordered),
+                          ("no_kind", no_kind)):
+        path = tmp_path / f"{name}.cap"
+        path.write_text("".join(variant))
+        read[name] = read_capture(str(path))
+    assert not any(CAPTURE_LAYOUT.fullmatch(line)
+                   for line in reordered + no_kind)
+    assert read["layout"][-1].payload_marker == "GPS=32.08530,34.78180"
+    assert read["reordered"] == read["layout"]
+    assert read["no_kind"] == [dataclasses.replace(r, kind="")
+                               for r in read["layout"]]
+
+
 def source_nodes(names=None):
     """(module path within the package, node) of every syntax node of the
     package's modules, or of the modules named."""
@@ -416,6 +497,19 @@ def test_readers_parse_no_float_by_hand():
     found = [f"{name}:{node.lineno}" for name, node in source_nodes(readers)
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "float"]
+    assert found == []
+
+
+def test_no_module_takes_statistics_pstdev():
+    # statistics.pstdev rounds twice on 3.10 and once from 3.11, so every
+    # stddev goes through the correctly rounded profiler.features.pstdev
+    found = [f"{name}:{node.lineno}" for name, node in source_nodes()
+             if (isinstance(node, ast.ImportFrom)
+                 and node.module == "statistics"
+                 and any(alias.name == "pstdev" for alias in node.names))
+             or (isinstance(node, ast.Attribute) and node.attr == "pstdev"
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "statistics")]
     assert found == []
 
 
