@@ -1,11 +1,14 @@
 """Traffic capture: the tap every transport record passes through.
 
 A CaptureRecord is one observed packet-level event.  It keeps the payload's
-size, entropy and GPS marker, computed when it is built, not its bytes.
-The on-disk capture file stores one record per line with the exported
-field names (ts, src_addr, dst_addr, src_port, dst_port, proto, ttl, size,
-payload_entropy, payload_marker, direction) plus seq and kind for
-bookkeeping.
+size, entropy and GPS marker, computed when it is built, not its bytes;
+an empty payload (a scan probe) gets entropy 0.0 and no marker without
+either being computed.  Records are slotted, as a run holds tens of
+thousands.  The on-disk capture file stores one record per line with the
+exported field names (ts, src_addr, dst_addr, src_port, dst_port, proto,
+ttl, size, payload_entropy, payload_marker, direction) plus seq and kind
+for bookkeeping.  A size must be below 2**53, the largest integer a float
+holds exactly, so that a session's size sum and mean stay finite.
 
 read_capture matches each line in write_capture's layout with one regex;
 a line in any other order or spacing is split token by token instead, and
@@ -24,7 +27,7 @@ from ..records import Source, finite, integer, pairs
 from .payload import find_gps_marker, shannon_entropy
 
 
-@dataclass
+@dataclass(slots=True)
 class CaptureRecord:
     seq: int
     ts: float
@@ -45,11 +48,15 @@ class CaptureRecord:
               dst_addr: str, dst_port: int, ttl: int, kind: str,
               direction: str, payload: bytes = b"",
               proto: str = "tcp") -> "CaptureRecord":
+        if payload:
+            entropy = shannon_entropy(payload)
+            marker = find_gps_marker(payload)
+        else:
+            entropy, marker = 0.0, None
         return cls(seq=seq, ts=ts, src_addr=src_addr, dst_addr=dst_addr,
                    src_port=src_port, dst_port=dst_port, proto=proto, ttl=ttl,
-                   size=len(payload), payload_entropy=shannon_entropy(payload),
-                   payload_marker=find_gps_marker(payload),
-                   direction=direction, kind=kind)
+                   size=len(payload), payload_entropy=entropy,
+                   payload_marker=marker, direction=direction, kind=kind)
 
 
 def classify_direction(src: str, dst: str, dut_ids: set[str]) -> str:
@@ -111,9 +118,11 @@ def write_capture(records: list[CaptureRecord], path: str) -> None:
 
 def _capture_record(kv: dict[str, str]) -> CaptureRecord:
     marker = kv["payload_marker"]
-    size = integer(kv["size"])
+    size = int(kv["size"])
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
+    if size >= 2 ** 53:
+        raise ValueError(f"{len(kv['size'])}-digit size is not below 2**53")
     return CaptureRecord(
         seq=int(kv["seq"]), ts=finite(kv["ts"]), src_addr=kv["src_addr"],
         dst_addr=kv["dst_addr"], src_port=int(kv["src_port"]),

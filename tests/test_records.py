@@ -386,10 +386,13 @@ def test_non_finite_numbers_exit_2_at_their_line(files, tmp_path, capsys):
             (what, path, line, err)
 
 
-# An integer whose float() overflows in the session summaries.
+# An integer whose float() overflows in the session summaries; the
+# smallest size a float cannot hold exactly; and a size a float holds but
+# whose sum over a session does not, written into every record.
 HUGE = "9" * 400
+BIG = str(10 ** 308)
 OUT_OF_RANGE = (("size", HUGE), ("ttl", HUGE), ("ttl", "-" + HUGE),
-                ("size", "-1"), ("ttl", "x"))
+                ("size", "-1"), ("ttl", "x"), ("size", str(2 ** 53)))
 
 
 def test_out_of_range_integers_exit_2_at_their_line(files, tmp_path, capsys):
@@ -401,16 +404,21 @@ def test_out_of_range_integers_exit_2_at_their_line(files, tmp_path, capsys):
     cases = [(target, field, bad) for target in (targets["capture"], training)
              for field, bad in OUT_OF_RANGE]
     cases.append((targets["devices"], "ttl", HUGE))
+    cases.append((training, "size", BIG))
     rng = random.Random(17)
     for n, ((source, use), field, bad) in enumerate(cases):
         text = source.read_text()
-        start, end = rng.choice([m.span(1) for m in re.finditer(
-            rf"\b{field}=(\S+)", text)])
+        spans = [m.span(1) for m in re.finditer(rf"\b{field}=(\S+)", text)]
+        if bad != BIG:
+            spans = [rng.choice(spans)]
         folder = tmp_path / f"case-{n}"
         shutil.copytree(source.parent, folder)
         path = folder / source.name
-        path.write_text(text[:start] + bad + text[end:])
-        line = text.count("\n", 0, start) + 1
+        changed = text
+        for start, end in reversed(spans):
+            changed = changed[:start] + bad + changed[end:]
+        path.write_text(changed)
+        line = text.count("\n", 0, spans[0][0]) + 1
         code = main(use(str(path)))
         err = capsys.readouterr().err
         assert code == 2 and err.startswith(f"error: {path}:{line}: "), \

@@ -24,6 +24,7 @@ from iotbed.simnet.devspec import DeviceSpec, load_device_spec
 from iotbed.simnet.loopnet import REQUEST_TIMEOUT_S, LoopbackNetwork
 from iotbed.simnet.memnet import MemoryNetwork, ProxyMutator
 from iotbed.simnet.payload import (
+    _WORDS,
     encrypted_payload,
     find_gps_marker,
     gps_marker,
@@ -151,11 +152,46 @@ def oracle_entropy(data: bytes) -> float:
 
 
 def test_entropy_matches_independent_estimate():
+    # the same terms summed in the same order give the same float
     rng = random.Random(5)
     cases = [b"", b"\x00" * 100, bytes(range(256)),
              rng.randbytes(1000), b"hello world" * 30]
+    for size in (1, 2, 31, 32, 100, 257, 620, 1000, 2048, 4096):
+        cases.append(encrypted_payload(rng, size))
+        cases.append(plaintext_payload(rng, size))
+        cases.append(plaintext_payload(rng, size, gps_marker(32.0853,
+                                                             34.7818)))
     for data in cases:
-        assert shannon_entropy(data) == pytest.approx(oracle_entropy(data))
+        assert shannon_entropy(data) == oracle_entropy(data)
+
+
+def choice_loop_payload(rng: random.Random, size: int,
+                        marker: str | None = None) -> bytes:
+    # plaintext_payload as first written, with Random.choice and randrange
+    parts: list[str] = []
+    length = 0
+    if marker:
+        parts.append(marker)
+        length = len(marker) + 1
+    while length < size + 16:
+        token = rng.choice(_WORDS)
+        if rng.random() < 0.3:
+            token += str(rng.randrange(1000))
+        parts.append(token)
+        length += len(token) + 1
+    return " ".join(parts).encode("ascii")[:size]
+
+
+def test_plaintext_payload_matches_choice_loop():
+    # the written-out draws take the same bits from the generator as
+    # Random.choice and Random.randrange on this interpreter
+    for seed in range(40):
+        for size in (1, 32, 257, 4096):
+            for marker in (None, gps_marker(-33.8688, 151.2093)):
+                ours, ref = random.Random(seed), random.Random(seed)
+                assert plaintext_payload(ours, size, marker) == \
+                    choice_loop_payload(ref, size, marker)
+                assert ours.getstate() == ref.getstate()
 
 
 def test_encrypted_payload_is_high_entropy():
