@@ -31,7 +31,6 @@ class RawResult:
 
     kind: str
     data: dict
-    artifacts: tuple[str, ...] = ()
 
 
 @dataclass

@@ -75,7 +75,6 @@ class Verdict:
     test_name: str
     grade: Grade
     detail: str
-    artifacts: tuple[str, ...] = ()
 
     def __post_init__(self):
         # Every decided verdict must cite its evidence.

@@ -126,13 +126,8 @@ class ContextFeed:
     """Publishes location/time context; keeps a history for later lookup."""
 
     def __init__(self):
-        self._state: ContextEvent | None = None
         self._history: list[ContextEvent] = []
         self._subscribers: list[Callable[[ContextEvent], None]] = []
-
-    @property
-    def state(self) -> ContextEvent | None:
-        return self._state
 
     @property
     def history(self) -> list[ContextEvent]:
@@ -142,13 +137,6 @@ class ContextFeed:
         self._subscribers.append(callback)
 
     def publish(self, event: ContextEvent) -> None:
-        self._state = event
         self._history.append(event)
         for callback in self._subscribers:
             callback(event)
-
-    def nearest(self, t: float) -> ContextEvent | None:
-        """History entry with timestamp closest to t (earlier wins ties)."""
-        if not self._history:
-            return None
-        return min(self._history, key=lambda e: (abs(e.t - t), e.t))

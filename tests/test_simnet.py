@@ -2,6 +2,7 @@
 virtual transport, loopback transport."""
 
 import collections
+import dataclasses
 import math
 import random
 import sys
@@ -21,7 +22,8 @@ from iotbed.simnet.context import (
     load_trajectory,
 )
 from iotbed.simnet.devspec import DeviceSpec, load_device_spec
-from iotbed.simnet.loopnet import REQUEST_TIMEOUT_S, LoopbackNetwork
+from iotbed.simnet.loopnet import (FRAME_HEAD, REQUEST_TIMEOUT_S,
+                                  LoopbackNetwork, _recv_frame)
 from iotbed.simnet.memnet import MemoryNetwork, ProxyMutator
 from iotbed.simnet.payload import (
     _WORDS,
@@ -274,16 +276,13 @@ def test_context_predicate_circle_and_window():
     assert pred.matches(near_edge)
 
 
-def test_context_feed_nearest_and_history():
+def test_context_feed_delivers_events_in_order():
     feed = ContextFeed()
     seen = []
     feed.subscribe(seen.append)
     for t in (0.0, 10.0, 20.0):
         feed.publish(ContextEvent(t=t, lat=1.0, lon=1.0, day=Day.MONDAY))
     assert [e.t for e in seen] == [0.0, 10.0, 20.0]
-    assert feed.state.t == 20.0
-    assert feed.nearest(12.0).t == 10.0
-    assert feed.nearest(16.0).t == 20.0
 
 
 # -- service engine wire grammar -------------------------------------------
@@ -585,7 +584,54 @@ def test_loopback_shutdown_is_prompt(camera_spec):
     net.spawn_device(camera_spec, dut=True)
     began = time.monotonic()
     net.shutdown()
-    assert time.monotonic() - began < 0.2
+    assert time.monotonic() - began < 0.05
+
+
+def test_loopback_server_cuts_frames_and_bounds_their_length(camera_spec):
+    net = LoopbackNetwork(seed=5)
+    try:
+        net.spawn_device(camera_spec, dut=True)
+        banner = b"BusyBox v1.19 telnetd"
+        conn = net.connect("tester", "cam1", 23)
+        # one request frame in three pieces, the first cutting the header
+        frame = FRAME_HEAD.pack(len(b"BANNER")) + b"BANNER"
+        for piece in (frame[:2], frame[2:7], frame[7:]):
+            conn.channel.sendall(piece)
+            time.sleep(0.01)
+        assert _recv_frame(conn.channel) == banner
+        # a header declaring more than 1 MiB closes that connection only
+        conn.channel.sendall(FRAME_HEAD.pack((1 << 20) + 1))
+        assert conn.channel.recv(1) == b""
+        conn.close()
+        again = net.connect("tester", "cam1", 23)
+        assert again.request(b"BANNER") == banner
+        again.close()
+    finally:
+        net.shutdown()
+
+
+def test_loopback_runs_the_same_threads_for_any_fleet(camera_spec):
+    # Small fleets only: the count must not grow with devices, ports or
+    # connections, so 1 and 10 three-port devices are enough to show it.
+    rises = []
+    for n in (1, 10):
+        before = threading.active_count()
+        net = LoopbackNetwork(seed=5)
+        try:
+            for i in range(n):
+                net.spawn_device(
+                    dataclasses.replace(camera_spec, device_id=f"cam{i}"))
+            spawned = threading.active_count()
+            conns = [net.connect("tester", f"cam{i % n}", 23)
+                     for i in range(10)]
+            assert all(c.request(b"BANNER") for c in conns)
+            assert threading.active_count() == spawned
+            for c in conns:
+                c.close()
+        finally:
+            net.shutdown()
+        rises.append(spawned - before)
+    assert rises[0] == rises[1]
 
 
 # Both backends run one device model, so everything that does not depend on
