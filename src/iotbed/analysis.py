@@ -1,20 +1,23 @@
 """Forensic analysis: baselines, anomaly detection, context correlation.
 
-Capture records and internal-status samples are folded into non-overlapping
-windows of virtual time; each channel reduces a window to one statistic
-(network: record count, cpu: max cpu_pct, memory: max mem_bytes,
-filesystem: event count).  A window is anomalous on a channel when its
-statistic exceeds mean + max(k * stddev, floor) of the baseline; adjacent
-anomalous windows merge into a single event.  Network anomalies then become
-findings, located in space and time through the context log, and classified
-attack only when an internal-status anomaly corroborates them.
+window_series folds capture records and internal-status samples into the
+full, non-overlapping windows of virtual time between two instants; it is
+the one place the window grid is decided.  Each channel reduces a window to
+one statistic (network: record count, cpu: max cpu_pct, memory: max
+mem_bytes, filesystem: event count).  build_baseline takes the per-channel
+mean and stddev of one series (at least 3 windows); detect_anomalies marks
+a window of another series anomalous on a channel when its statistic
+exceeds mean + max(k * stddev, floor), and merges adjacent anomalous
+windows into a single event.  correlate turns network anomalies into
+findings, located in space and time through the context log, and
+classified attack only when an internal-status anomaly corroborates them.
 
 Everything here is a pure function over immutable captured data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import fmean
 
 from .errors import AnalysisError
@@ -79,8 +82,12 @@ class BaselineModel:
 
 
 def window_series(capture, status_series, window_s: float,
-                  t_begin: float, n_windows: int) -> list[dict[str, float]]:
-    """Reduce both data sources to one stat per channel per window."""
+                  t_begin: float, t_end: float) -> list[dict[str, float]]:
+    """One stat per channel for each full window of window_s from t_begin
+    to t_end; a partial trailing window is dropped."""
+    if window_s <= 0:
+        raise AnalysisError("window_s must be positive")
+    n_windows = int((t_end - t_begin) // window_s)
     out = [{c: 0.0 for c in CHANNELS} for _ in range(n_windows)]
     cpu: list[list[float]] = [[] for _ in range(n_windows)]
     mem: list[list[float]] = [[] for _ in range(n_windows)]
@@ -106,34 +113,17 @@ def window_series(capture, status_series, window_s: float,
     return out
 
 
-def _span(capture, status_series) -> tuple[float, float]:
-    times = [r.ts for r in capture] + [s.ts for s in status_series]
-    if not times:
-        raise AnalysisError("no data to analyze")
-    return min(times), max(times)
-
-
-def build_baseline(capture, status_series,
-                   window_s: float = DEFAULT_WINDOW_S,
-                   t_begin: float | None = None,
-                   t_end: float | None = None) -> BaselineModel:
-    """Per-channel (mean, stddev) over full non-overlapping windows."""
-    if window_s <= 0:
-        raise AnalysisError("window_s must be positive")
-    if t_begin is None or t_end is None:
-        lo, hi = _span(capture, status_series)
-        t_begin = lo if t_begin is None else t_begin
-        t_end = hi if t_end is None else t_end
-    n = int((t_end - t_begin) // window_s)
-    if n < 3:
+def build_baseline(series: list[dict[str, float]],
+                   window_s: float) -> BaselineModel:
+    """Per-channel (mean, stddev) over the windows of a window_series."""
+    if len(series) < 3:
         raise AnalysisError(
-            f"baseline needs at least 3 full windows, got {n}")
-    series = window_series(capture, status_series, window_s, t_begin, n)
+            f"baseline needs at least 3 full windows, got {len(series)}")
     stats = {}
     for channel in CHANNELS:
         values = [w[channel] for w in series]
         stats[channel] = (fmean(values), pstdev(values))
-    return BaselineModel(window_s, stats, n)
+    return BaselineModel(window_s, stats, len(series))
 
 
 def merge_adjacent(events: list[AnomalyEvent]) -> list[AnomalyEvent]:
@@ -154,28 +144,18 @@ def merge_adjacent(events: list[AnomalyEvent]) -> list[AnomalyEvent]:
     return merged
 
 
-def detect_anomalies(capture, status_series, baseline: BaselineModel,
-                     k: float = DEFAULT_K,
-                     t_begin: float | None = None,
-                     t_end: float | None = None,
-                     floors: dict[str, float] | None = None
-                     ) -> list[AnomalyEvent]:
+def detect_anomalies(series: list[dict[str, float]], t_begin: float,
+                     baseline: BaselineModel,
+                     k: float = DEFAULT_K) -> list[AnomalyEvent]:
+    """The windows of a window_series from t_begin that exceed the
+    baseline, merged per channel."""
     if k <= 0:
         raise AnalysisError("k must be positive")
-    floors = {**DEFAULT_FLOORS, **(floors or {})}
-    if t_begin is None or t_end is None:
-        lo, hi = _span(capture, status_series)
-        t_begin = lo if t_begin is None else t_begin
-        t_end = hi if t_end is None else t_end
     w = baseline.window_s
-    n = int((t_end - t_begin) // w)
-    if n == 0:
-        return []
-    series = window_series(capture, status_series, w, t_begin, n)
     events = []
     for channel in CHANNELS:
         mean, stddev = baseline.stats[channel]
-        threshold = mean + max(k * stddev, floors[channel])
+        threshold = mean + max(k * stddev, DEFAULT_FLOORS[channel])
         for i, window in enumerate(series):
             value = window[channel]
             if value > threshold:
@@ -215,29 +195,15 @@ def correlate(anomalies: list[AnomalyEvent], context_log,
         windows = ((anomaly.t_start, anomaly.t_end),) + tuple(
             (s.t_start, s.t_end) for s in overlapping)
         if gap:
-            findings.append(AttackFinding(
-                windows, None, midpoint, corroboration,
-                ATTACK if overlapping else POSSIBLE_FALSE_ALARM,
-                note="no context coverage for this window; location unknown"))
+            location, t = None, midpoint
+            note = "no context coverage for this window; location unknown"
         else:
-            findings.append(AttackFinding(
-                windows, (nearest.lat, nearest.lon), nearest.t,
-                corroboration,
-                ATTACK if overlapping else POSSIBLE_FALSE_ALARM,
-                note=anomaly.description))
+            location, t = (nearest.lat, nearest.lon), nearest.t
+            note = anomaly.description
+        findings.append(AttackFinding(
+            windows, location, t, corroboration,
+            ATTACK if overlapping else POSSIBLE_FALSE_ALARM, note=note))
     return findings
-
-
-def analyze_run(capture, status_series, context_log,
-                baseline: BaselineModel,
-                k: float = DEFAULT_K,
-                t_begin: float | None = None,
-                t_end: float | None = None,
-                floors: dict[str, float] | None = None
-                ) -> tuple[list[AnomalyEvent], list[AttackFinding]]:
-    anomalies = detect_anomalies(capture, status_series, baseline, k,
-                                 t_begin, t_end, floors)
-    return anomalies, correlate(anomalies, context_log, baseline.window_s)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .analysis import DEFAULT_K, DEFAULT_WINDOW_S
 from .errors import ValidationError
 from .records import finite, load
 from .simnet import BACKENDS
@@ -20,8 +21,8 @@ class CliConfig:
     score_list_path: str = ""
     vuln_db_path: str = ""
     attack_db_path: str = ""
-    default_k: float = 3.0
-    default_window_s: float = 5.0
+    default_k: float = DEFAULT_K
+    default_window_s: float = DEFAULT_WINDOW_S
     transport_backend: str = "memory"
 
     def validate(self) -> None:

@@ -23,7 +23,6 @@ run is byte-identical.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import time
@@ -31,8 +30,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .analysis import (DEFAULT_K, DEFAULT_WINDOW_S, AttackFinding,
-                       analyze_run, build_baseline, window_series,
-                       write_findings, write_window_stats)
+                       build_baseline, correlate, detect_anomalies,
+                       window_series, write_findings, write_window_stats)
 from .errors import TestbedError, ValidationError
 from .model import (Action, Command, ElementDescriptor, ElementKind,
                     ParamSchema, Phase, Scenario, Test, param_number)
@@ -212,13 +211,13 @@ class ScenarioRunner:
 
     def _check_option(self, key: str, value):
         if key in ("baseline_s", "window_s", "k"):    # attributes of self
-            if isinstance(value, str) or not math.isfinite(value):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-            positive = key != "baseline_s"
-            if value < 0 or (positive and value == 0):
-                bound = "> 0" if positive else ">= 0"
-                raise ValueError(f"{key} must be {bound}, got {value}")
-            setattr(self, key, float(value))
+            try:
+                number = param_number({key: value}, key)
+            except ValidationError as exc:
+                raise ValueError(str(exc)) from None
+            if number == 0 and key != "baseline_s":
+                raise ValueError(f"{key} must be > 0, got {value!r}")
+            setattr(self, key, number)
         elif key.startswith("criteria."):
             kind, _, name = key[len("criteria."):].partition(".")
             if kind not in self.criteria_config:
@@ -316,11 +315,19 @@ class ScenarioRunner:
             self.net.spawn_device(spec, dut=(spec.device_id == self.dut_id))
 
     def _make_run_dir(self):
+        """A new run-<second>-<4 hex digits> directory; a suffix another
+        run already took is drawn again."""
+        os.makedirs(self.options.runs_dir, exist_ok=True)
         stamp = time.strftime("%Y%m%d-%H%M%S")
-        suffix = f"{random.SystemRandom().randrange(16 ** 4):04x}"
-        self.run_id = f"run-{stamp}-{suffix}"
-        self.run_dir = os.path.join(self.options.runs_dir, self.run_id)
-        os.makedirs(self.run_dir)
+        while True:
+            suffix = f"{random.SystemRandom().randrange(16 ** 4):04x}"
+            self.run_id = f"run-{stamp}-{suffix}"
+            self.run_dir = os.path.join(self.options.runs_dir, self.run_id)
+            try:
+                os.mkdir(self.run_dir)
+                return
+            except FileExistsError:
+                pass
 
     # -- action execution -----------------------------------------------
 
@@ -468,8 +475,9 @@ class ScenarioRunner:
         for test in self.scenario.tests_in_phase(Phase.CONTEXT):
             self.run_test(test)
         phase2_end = self.net.now()
-        findings = self._forensics(phase2_start, phase2_end)
-        profiling, note = self._profiling()
+        organic = self._organic_records()
+        findings = self._forensics(organic, phase2_start, phase2_end)
+        profiling, note = self._profiling(organic)
         report = self._build_report(findings, profiling, note)
         write_report(report, self.run_dir)
         return report
@@ -483,37 +491,32 @@ class ScenarioRunner:
                 if r.src_addr in fleet and r.dst_addr in fleet
                 and self.dut_id in (r.src_addr, r.dst_addr)]
 
-    def _forensics(self, p2_start: float, p2_end: float):
+    def _forensics(self, organic, p2_start: float, p2_end: float):
         write_capture(self.net.tap.records,
                       os.path.join(self.run_dir, "capture.cap"))
         samples = self.net.handle(self.dut_id).all_samples()
         write_status(samples, os.path.join(self.run_dir, "status.rec"))
 
         w = self.window_s
-        if self.baseline_s < 3 * w or p2_end - p2_start < w:
+        baseline_series = window_series(organic, samples, w,
+                                        0.0, self.baseline_s)
+        series = window_series(organic, samples, w, p2_start, p2_end)
+        if len(baseline_series) < 3 or not series:
             return []
-        organic = self._organic_records()
-        baseline = build_baseline(
-            [r for r in organic if r.ts < self.baseline_s],
-            [s for s in samples if s.ts < self.baseline_s],
-            w, 0.0, self.baseline_s)
-        anomalies, findings = analyze_run(
-            organic, samples, self.context_log, baseline,
-            self.k, p2_start, p2_end)
-        n = int((p2_end - p2_start) // w)
-        series = window_series(organic, samples, w, p2_start, n)
+        anomalies = detect_anomalies(
+            series, p2_start, build_baseline(baseline_series, w), self.k)
+        findings = correlate(anomalies, self.context_log, w)
         write_window_stats(series, p2_start, w,
                            os.path.join(self.run_dir, "windows.rec"))
         write_findings(findings,
                        os.path.join(self.run_dir, "findings.rec"))
         return findings
 
-    def _profiling(self):
+    def _profiling(self, organic):
         if self.profile_model is None:
             return None, ""
         try:
-            profile = profile_device(self.profile_model,
-                                     self._organic_records(),
+            profile = profile_device(self.profile_model, organic,
                                      self.dut_id)
         except TestbedError as exc:
             return None, str(exc)

@@ -13,11 +13,12 @@ File format (one directive per line, `#` starts a comment):
 `use: NAME` splices in the actions of `<template_dir>/NAME.test`, a file
 holding only `action:` (and optional comment) lines.  A params block that is
 a single bare token, e.g. `{trajectory.cfg}`, is shorthand for `{file=...}`.
-Values parse as int, then float, then string.  A malformed scenario or
-template raises AnalysisError("<path>:<line>: ...") naming the file at
-fault and its own line.  load_scenario checks syntax only, and that no
-option key is set twice; it records the line of each option and action
-for ScenarioRunner.validate to report at.
+Values stay the text the file holds (`password=0123` is "0123"); the
+code that reads a value converts it, and checks a number there.  A
+malformed scenario or template raises AnalysisError("<path>:<line>: ...")
+naming the file at fault and its own line.  load_scenario checks syntax
+only, and that no option key is set twice; it records the line of each
+option and action for ScenarioRunner.validate to report at.
 """
 
 from __future__ import annotations
@@ -36,19 +37,7 @@ from .model import (
 from .records import Source, directives
 
 
-def _parse_value(text: str) -> ParamValue:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def _parse_params(block: str) -> dict[str, ParamValue]:
+def _parse_params(block: str) -> dict[str, str]:
     block = block.strip()
     if not (block.startswith("{") and block.endswith("}")):
         raise ValueError("params must be brace-delimited")
@@ -58,7 +47,7 @@ def _parse_params(block: str) -> dict[str, ParamValue]:
     if "=" not in inner and "," not in inner:
         # single bare token: file-argument shorthand
         return {"file": inner}
-    params: dict[str, ParamValue] = {}
+    params: dict[str, str] = {}
     for piece in inner.split(","):
         piece = piece.strip()
         if not piece:
@@ -69,7 +58,7 @@ def _parse_params(block: str) -> dict[str, ParamValue]:
         key = key.strip()
         if not key:
             raise ValueError(f"bad param {piece!r} (empty key)")
-        params[key] = _parse_value(val.strip())
+        params[key] = val.strip()
     return params
 
 
@@ -112,7 +101,7 @@ def load_scenario(path: str) -> Scenario:
     base_dir = os.path.dirname(os.path.abspath(path))
     name: str | None = None
     name_line = 0
-    options: list[tuple[str, ParamValue]] = []
+    options: list[tuple[str, str]] = []
     option_lines: dict[str, int] = {}
     template_dir = base_dir
     tests: list[Test] = []
@@ -146,7 +135,7 @@ def load_scenario(path: str) -> Scenario:
                 if k in option_lines:
                     raise ValueError(f"option {k!r} already set at line "
                                      f"{option_lines[k]}")
-                options.append((k, _parse_value(v.strip())))
+                options.append((k, v.strip()))
                 option_lines[k] = source.line
             elif key == "template_dir":
                 template_dir = os.path.join(base_dir, body)

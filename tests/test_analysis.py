@@ -13,7 +13,6 @@ from iotbed.analysis import (
     NETWORK_ONLY,
     NETWORK_PLUS_STATUS,
     POSSIBLE_FALSE_ALARM,
-    analyze_run,
     build_baseline,
     correlate,
     detect_anomalies,
@@ -53,7 +52,7 @@ def test_window_series_per_channel_oracle():
     status = [sample(1.0, cpu=20, mem=5e6, fs=1),
               sample(2.0, cpu=50, mem=2e6, fs=2),
               sample(7.0, cpu=30, mem=9e6, fs=0)]
-    series = window_series(capture, status, 5.0, 0.0, 3)
+    series = window_series(capture, status, 5.0, 0.0, 15.0)
     assert [w["network"] for w in series] == [3, 2, 1]
     assert series[0]["cpu"] == 50 and series[1]["cpu"] == 30
     assert series[0]["memory"] == 5e6 and series[1]["memory"] == 9e6
@@ -62,7 +61,7 @@ def test_window_series_per_channel_oracle():
 
 def test_window_series_ignores_out_of_range():
     capture = [rec(-0.1), rec(15.0), rec(2.0)]
-    series = window_series(capture, [], 5.0, 0.0, 3)
+    series = window_series(capture, [], 5.0, 0.0, 15.0)
     assert [w["network"] for w in series] == [1, 0, 0]
 
 
@@ -73,8 +72,8 @@ def test_baseline_stats_match_manual_computation():
     # 1 record per second for 30 s -> 6 windows of 5 counts... each window
     # holds 5 one-second ticks
     capture = [rec(t + 0.5, seq=t) for t in range(30)]
-    baseline = build_baseline(capture, [], window_s=5.0, t_begin=0.0,
-                              t_end=30.0)
+    baseline = build_baseline(window_series(capture, [], 5.0, 0.0, 30.0),
+                              5.0)
     assert baseline.n_windows == 6
     counts = [5.0] * 6
     assert baseline.stats["network"] == (statistics.fmean(counts),
@@ -84,19 +83,19 @@ def test_baseline_stats_match_manual_computation():
 
 def test_baseline_drops_partial_trailing_window():
     capture = [rec(t) for t in (1, 6, 11, 16, 21, 23)]
-    baseline = build_baseline(capture, [], window_s=5.0, t_begin=0.0,
-                              t_end=24.0)
+    baseline = build_baseline(window_series(capture, [], 5.0, 0.0, 24.0),
+                              5.0)
     assert baseline.n_windows == 4  # [20, 24) is not a full window
 
 
 def test_baseline_requires_three_full_windows():
     capture = [rec(t) for t in (0.0, 1.0, 2.0)]
     with pytest.raises(AnalysisError):
-        build_baseline(capture, [], window_s=5.0, t_begin=0.0, t_end=14.9)
+        build_baseline(window_series(capture, [], 5.0, 0.0, 14.9), 5.0)
     with pytest.raises(AnalysisError):
-        build_baseline([], [], window_s=5.0)
+        build_baseline([], 5.0)
     with pytest.raises(AnalysisError):
-        build_baseline(capture, [], window_s=0.0)
+        window_series(capture, [], 0.0, 0.0, 15.0)
 
 
 # -- anomaly detection ------------------------------------------------------
@@ -104,17 +103,21 @@ def test_baseline_requires_three_full_windows():
 
 def quiet_baseline():
     capture = [rec(t + 0.5) for t in range(30)]  # 5 records per window
-    return build_baseline(capture, [], window_s=5.0, t_begin=0.0, t_end=30.0)
+    return build_baseline(window_series(capture, [], 5.0, 0.0, 30.0), 5.0)
+
+
+def detect(capture, status, baseline, t_begin, t_end):
+    """The anomalies of [t_begin, t_end) against baseline, at k = 3."""
+    series = window_series(capture, status, baseline.window_s, t_begin, t_end)
+    return detect_anomalies(series, t_begin, baseline, k=3.0)
 
 
 def test_floor_suppresses_small_excursions():
     baseline = quiet_baseline()  # network mean 5, stddev 0, floor 10
     mild = [rec(35.0 + i * 0.01, seq=i) for i in range(14)]  # 14 <= 5+10
-    assert detect_anomalies(mild, [], baseline, k=3.0, t_begin=30.0,
-                            t_end=50.0) == []
+    assert detect(mild, [], baseline, 30.0, 50.0) == []
     spike = [rec(35.0 + i * 0.01, seq=i) for i in range(40)]
-    events = detect_anomalies(spike, [], baseline, k=3.0, t_begin=30.0,
-                              t_end=50.0)
+    events = detect(spike, [], baseline, 30.0, 50.0)
     assert len(events) == 1
     ev = events[0]
     assert ev.channel == "network"
@@ -125,8 +128,7 @@ def test_floor_suppresses_small_excursions():
 def test_threshold_is_strictly_greater():
     baseline = quiet_baseline()
     exactly = [rec(35.0 + i * 0.01, seq=i) for i in range(15)]  # == 5+10
-    assert detect_anomalies(exactly, [], baseline, k=3.0, t_begin=30.0,
-                            t_end=50.0) == []
+    assert detect(exactly, [], baseline, 30.0, 50.0) == []
 
 
 def test_k_sigma_governs_when_above_floor():
@@ -138,26 +140,23 @@ def test_k_sigma_governs_when_above_floor():
         for i in range(n):
             seq += 1
             capture.append(rec(w * 5.0 + 0.01 * i, seq=seq))
-    baseline = build_baseline(capture, [], window_s=5.0, t_begin=0.0,
-                              t_end=30.0)
+    baseline = build_baseline(window_series(capture, [], 5.0, 0.0, 30.0),
+                              5.0)
     mean, stddev = baseline.stats["network"]
     assert stddev == pytest.approx(20.0)
     # threshold = 20 + max(3*20, 10) = 80; 70 records stay quiet
     below = [rec(35.0 + 0.001 * i, seq=i) for i in range(70)]
-    assert detect_anomalies(below, [], baseline, k=3.0, t_begin=30.0,
-                            t_end=50.0) == []
+    assert detect(below, [], baseline, 30.0, 50.0) == []
     above = [rec(35.0 + 0.001 * i, seq=i) for i in range(81)]
-    assert len(detect_anomalies(above, [], baseline, k=3.0, t_begin=30.0,
-                                t_end=50.0)) == 1
+    assert len(detect(above, [], baseline, 30.0, 50.0)) == 1
 
 
 def test_cpu_memory_channels_detect_spikes():
     status = [sample(t + 0.5, cpu=10, mem=1e6) for t in range(30)]
-    baseline = build_baseline([], status, window_s=5.0, t_begin=0.0,
-                              t_end=30.0)
+    baseline = build_baseline(window_series([], status, 5.0, 0.0, 30.0),
+                              5.0)
     spiky = [sample(36.0, cpu=80, mem=1e6 + DEFAULT_FLOORS["memory"] + 1e6)]
-    events = detect_anomalies([], spiky, baseline, k=3.0, t_begin=30.0,
-                              t_end=45.0)
+    events = detect([], spiky, baseline, 30.0, 45.0)
     channels = {e.channel for e in events}
     assert channels == {"cpu", "memory"}
 
@@ -165,8 +164,7 @@ def test_cpu_memory_channels_detect_spikes():
 def test_adjacent_windows_merge():
     baseline = quiet_baseline()
     burst = [rec(35.0 + i * 0.2, seq=i) for i in range(49)]  # spans 2 windows
-    events = detect_anomalies(burst, [], baseline, k=3.0, t_begin=30.0,
-                              t_end=50.0)
+    events = detect(burst, [], baseline, 30.0, 50.0)
     assert len(events) == 1
     assert (events[0].t_start, events[0].t_end) == (35.0, 45.0)
 
@@ -249,20 +247,19 @@ def test_attack_finding_invariant():
                       POSSIBLE_FALSE_ALARM)
 
 
-def test_analyze_run_end_to_end():
+def test_forensic_pass_end_to_end():
     rng = random.Random(4)
     capture = [rec(t + rng.random(), seq=t) for t in range(30)]
     status = [sample(t + 0.5) for t in range(30)]
-    baseline = build_baseline(capture, status, window_s=5.0, t_begin=0.0,
-                              t_end=30.0)
+    baseline = build_baseline(
+        window_series(capture, status, 5.0, 0.0, 30.0), 5.0)
     attack_net = [rec(62.0 + i * 0.01, seq=1000 + i) for i in range(60)]
     attack_cpu = [sample(63.0, cpu=95.0)]
     events = [ctx(t, lat=32.0853, lon=34.7818) for t in range(55, 80, 5)]
-    anomalies, findings = analyze_run(
-        capture + attack_net, status + attack_cpu, events, baseline,
-        k=3.0, t_begin=60.0, t_end=75.0)
+    anomalies = detect(capture + attack_net, status + attack_cpu, baseline,
+                       60.0, 75.0)
     assert any(a.channel == "network" for a in anomalies)
-    f, = findings
+    f, = correlate(anomalies, events, baseline.window_s)
     assert f.classification == ATTACK
     assert f.location == (32.0853, 34.7818)
 
@@ -292,7 +289,7 @@ def test_findings_file_round_trip(tmp_path):
 
 def test_window_stats_file(tmp_path):
     series = window_series([rec(1.0), rec(6.0)], [sample(2.0, cpu=42)],
-                           5.0, 0.0, 2)
+                           5.0, 0.0, 10.0)
     path = str(tmp_path / "windows.rec")
     write_window_stats(series, 0.0, 5.0, path)
     with open(path) as fh:

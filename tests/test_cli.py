@@ -59,13 +59,13 @@ BAD_CRITERIA = {
         "observe_s must be a number >= 0, got 'abc'"),
     "negative": (
         None, "data_leakage, TEST, {target=cam1, observe_s=-1}",
-        "observe_s must be a number >= 0, got -1"),
+        "observe_s must be a number >= 0, got '-1'"),
     "criteria_option": (
         "criteria.delay_attack.delay_ms=abc",
         "delay_attack, TEST, {target=cam1}",
         "delay_ms must be a number >= 0, got 'abc'"),
     "not_finite": (None, "cam1, LOGIN, {user=root, password=root, port=inf}",
-                   "port must be a number >= 0, got inf"),
+                   "port must be a number >= 0, got 'inf'"),
 }
 
 

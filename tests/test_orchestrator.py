@@ -2,7 +2,9 @@
 
 import math
 import os
+import random
 import re
+import time
 import warnings
 
 import pytest
@@ -182,6 +184,74 @@ action: USER, CLOCK, SET, {advance_s=-5}
     entries = read_trace(os.path.join(report.run_dir, "trace.jsonl"))
     assert entries[0].outcome == "error"
     assert "advance_s" in entries[0].message
+
+
+def test_numeric_looking_values_stay_text(tmp_path):
+    # a device id and a password of digits are matched as written
+    text = """\
+scenario: s
+option: devices=cam.dev
+option: dut=007
+option: baseline_s=0
+
+test: t
+action: USER, 007, LOGIN, {user=admin, password=0123, port=23}
+"""
+    devices = CAMERA_TEXT.replace("cam1", "007").replace(
+        "default_creds=root:root", "default_creds=admin:0123")
+    report = run_dir_scenario(tmp_path, text, devices).run()
+    entry, = read_trace(os.path.join(report.run_dir, "trace.jsonl"))
+    assert entry.ok() and entry.message.startswith("login reply: OK"), \
+        entry.message
+    assert report.device_id == "007"
+
+
+SKIP_RULE_SCENARIO = """\
+scenario: s
+option: devices=cam.dev
+option: baseline_s={baseline_s}
+option: window_s=5
+
+test: context
+phase: context
+action: USER, CLOCK, SET, {{advance_s={advance_s}}}
+"""
+
+
+@pytest.mark.parametrize("baseline_s, advance_s, analyzed", [
+    (15, 10, True),         # 3 baseline windows, 2 phase-2 windows
+    (14.9, 10, False),      # only 2 full baseline windows
+    (15, 4.9, False),       # phase 2 shorter than one window
+])
+def test_forensics_needs_three_baseline_windows_and_one_more(
+        tmp_path, baseline_s, advance_s, analyzed):
+    text = SKIP_RULE_SCENARIO.format(baseline_s=baseline_s,
+                                     advance_s=advance_s)
+    report = run_dir_scenario(tmp_path, text).run()
+    names = set(os.listdir(report.run_dir))
+    assert ("findings.rec" in names) is analyzed
+    assert ("windows.rec" in names) is analyzed
+    assert {"capture.cap", "status.rec"} <= names
+    fields = dict(read_report_fields(
+        os.path.join(report.run_dir, "report.rec")))
+    if not analyzed:
+        assert fields["findings.count"] == "0"
+
+
+def test_run_id_taken_by_another_run_is_drawn_again(tmp_path, monkeypatch):
+    # both runs start in the same second and draw the same first suffix
+    draws = iter([0xbeef, 0xbeef, 0xcafe])
+    monkeypatch.setattr(random.SystemRandom, "randrange",
+                        lambda self, n: next(draws))
+    monkeypatch.setattr(time, "strftime", lambda fmt: "20261019-101921")
+    text = "scenario: s\noption: devices=cam.dev\noption: baseline_s=0\n" \
+        "test: t\naction: USER, cam1, TEST, {}\n"
+    first = run_dir_scenario(tmp_path, text).run()
+    second = run_dir_scenario(tmp_path, text).run()
+    assert first.run_id == "run-20261019-101921-beef"
+    assert second.run_id == "run-20261019-101921-cafe"
+    assert os.path.isdir(second.run_dir)
+    assert next(draws, None) is None
 
 
 # -- artifacts and report ---------------------------------------------------

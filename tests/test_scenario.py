@@ -27,7 +27,7 @@ action: USER, GPS_SIM, START, {route.ctx}
 def test_parse_basic_shape():
     s = load_text(load_scenario, BASIC)
     assert s.name == "smoke"
-    assert s.option_dict() == {"devices": "devices.dev", "k": 3}
+    assert s.option_dict() == {"devices": "devices.dev", "k": "3"}
     assert [t.name for t in s.tests] == ["first", "second"]
     assert s.tests[0].phase is Phase.STANDARD
     assert s.tests[1].phase is Phase.CONTEXT
@@ -48,14 +48,15 @@ def test_bare_token_param_becomes_file():
     assert start.param_dict() == {"file": "route.ctx"}
 
 
-def test_param_values_coerce_int_then_float_then_str():
+def test_param_values_keep_their_text():
+    # no value is read as a number: a password of 0123 keeps its zero
     s = load_text(
-        load_scenario, "scenario: s\ntest: t\n"
-        "action: USER, e, SET, {a=3, b=2.5, c=hello}\n")
+        load_scenario, "scenario: s\noption: k=3.0\ntest: t\n"
+        "action: USER, e, SET, {a=3, b=2.5, c=hello, d=0123, e=1e3}\n")
     act = s.tests[0].actions[0]
-    assert act.get("a") == 3 and isinstance(act.get("a"), int)
-    assert act.get("b") == 2.5
-    assert act.get("c") == "hello"
+    assert act.param_dict() == {"a": "3", "b": "2.5", "c": "hello",
+                                "d": "0123", "e": "1e3"}
+    assert s.option_dict()["k"] == "3.0"
 
 
 def test_comments_and_blanks_ignored():
