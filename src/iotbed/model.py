@@ -75,6 +75,16 @@ def param_number(params: dict, key: str,
     return number
 
 
+def param_count(params: dict, key: str, default: int | None = None) -> int:
+    """params[key], or default, as a whole number >= 0 (23 and 23.0, not
+    23.9); ValidationError if it is not one, which errs the action."""
+    number = param_number(params, key, default)
+    if not number.is_integer():
+        raise ValidationError(f"{key} must be a whole number >= 0, "
+                              f"got {params.get(key, default)!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class Action:
     """One testing operation: <initiator, element, command, params>."""

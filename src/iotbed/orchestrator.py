@@ -34,7 +34,8 @@ from .analysis import (DEFAULT_K, DEFAULT_WINDOW_S, AttackFinding,
                        window_series, write_findings, write_window_stats)
 from .errors import TestbedError, ValidationError
 from .model import (Action, Command, ElementDescriptor, ElementKind,
-                    ParamSchema, Phase, Scenario, Test, param_number)
+                    ParamSchema, Phase, Scenario, Test, param_count,
+                    param_number)
 from .profiler import (ProfileDistribution, load_model, profile_device,
                        profile_pairs)
 from .records import Source, dumps, load
@@ -368,7 +369,7 @@ class ScenarioRunner:
             return f"grade={grade.value}", ()
         if action.command in (Command.TEST_CONNECTION, Command.LOGIN):
             ports = handle.spec.open_ports()
-            port = int(param_number(params, "port", ports[0] if ports else 0))
+            port = param_count(params, "port", ports[0] if ports else 0)
             conn = self.net.connect(action.initiator, action.element, port)
             if conn is None:
                 raise TestbedError(f"no connection to {action.element}:{port}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import AnalysisError, TransportError, ValidationError
-from ..model import param_number
+from ..model import param_count, param_number
 from .portrisk import (PortScoreEntry, format_score, parse_ports,
                        score_ports)
 from .verdict import Grade, Verdict
@@ -252,7 +252,7 @@ def judge_data_leakage(raw: RawResult, criteria: dict) -> Verdict:
         return Verdict("data_leakage", Grade.INDETERMINATE,
                        "no payload-bearing records observed")
     threshold = param_number(criteria, "entropy_threshold", 7.0)
-    min_size = int(param_number(criteria, "entropy_min_size", 256))
+    min_size = param_count(criteria, "entropy_min_size", 256)
     low = [(seq, size, ent) for seq, size, ent in raw.data["entropies"]
            if size >= min_size and ent < threshold]
     markers = raw.data["markers"]
@@ -460,7 +460,7 @@ def measure_delay(ctx: PluginContext) -> RawResult:
     if port is None:
         raise AnalysisError("delay: no service to transact with")
     delay_ms = param_number(ctx.criteria, "delay_ms", 0)
-    n = int(param_number(ctx.criteria, "transactions", 8))
+    n = param_count(ctx.criteria, "transactions", 8)
     ctx.net.proxy(ctx.device_id, ProxyMutator(delay_ms=delay_ms))
     try:
         conn = ctx.net.connect(ctx.initiator, ctx.device_id, port)
@@ -515,7 +515,7 @@ def measure_tamper(ctx: PluginContext) -> RawResult:
     if port is None:
         raise AnalysisError("tamper: no service to transact with")
     rate = param_number(ctx.criteria, "corrupt_rate", 0.1)
-    n = int(param_number(ctx.criteria, "transactions", 20))
+    n = param_count(ctx.criteria, "transactions", 20)
     ctx.net.proxy(ctx.device_id, ProxyMutator(corrupt_rate=rate))
     answered = 0
     sent = 0

@@ -53,10 +53,9 @@ class CaptureRecord:
             marker = find_gps_marker(payload)
         else:
             entropy, marker = 0.0, None
-        return cls(seq=seq, ts=ts, src_addr=src_addr, dst_addr=dst_addr,
-                   src_port=src_port, dst_port=dst_port, proto=proto, ttl=ttl,
-                   size=len(payload), payload_entropy=entropy,
-                   payload_marker=marker, direction=direction, kind=kind)
+        # positional, in field order: a port sweep builds tens of thousands
+        return cls(seq, ts, src_addr, dst_addr, src_port, dst_port, proto,
+                   ttl, len(payload), entropy, marker, direction, kind)
 
 
 def classify_direction(src: str, dst: str, dut_ids: set[str]) -> str:

@@ -65,10 +65,10 @@ class LoopbackNetwork(MemoryNetwork):
         self._io = threading.Thread(target=self._serve, daemon=True)
         self._io.start()
 
-    def emit(self, **record) -> None:
+    def emit(self, *args, **kwargs) -> None:
         # re-entrant: clock callbacks already hold the lock when they emit
         with self.lock:
-            super().emit(**record)
+            super().emit(*args, **kwargs)
 
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
         with self.lock:

@@ -16,7 +16,8 @@ Here a fixed seed and a fixed context script reproduce byte-identical
 captures: each leg of a client operation advances the clock by its
 modelled latency, firing any background events that fall due in between.
 Every record enters the tap through a single emit point that also
-increments the completeness counter.
+increments the completeness counter; a port sweep builds its records
+positionally through that same emit, one call per probe.
 """
 
 from __future__ import annotations
@@ -391,10 +392,8 @@ class MemoryNetwork:
              ttl: int, kind: str, payload: bytes) -> None:
         self.emitted += 1
         self.tap.add(CaptureRecord.build(
-            seq=self.emitted, ts=self.clock.now(), src_addr=src,
-            src_port=src_port, dst_addr=dst, dst_port=dst_port, ttl=ttl,
-            kind=kind, direction=classify_direction(src, dst, self.dut_ids),
-            payload=payload))
+            self.emitted, self.clock.now(), src, src_port, dst, dst_port, ttl,
+            kind, classify_direction(src, dst, self.dut_ids), payload))
 
     # -- device lifecycle -----------------------------------------------
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
@@ -523,11 +522,13 @@ class MemoryNetwork:
         actor = self._actor(dst)
         found: list[tuple[int, str]] = []
         src_port = next(self._eph_ports)
+        # looked up once per sweep; kind stays a keyword, as the benchmark's
+        # tracer (perfbench/tracing.py) counts records per kind from it
+        emit, transit, declared = self.emit, self._transit, actor.spec.ports
         for port in ports:
-            self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
-                      ttl=64, kind="probe", payload=b"")
+            emit(src, src_port, dst, port, 64, kind="probe", payload=b"")
             # most of a sweep is closed: dial only the declared ports
-            opened = port in actor.spec.ports and self._dial(actor, port)
+            opened = port in declared and self._dial(actor, port)
             if opened:
                 channel, banner = opened
                 if channel is not None:
@@ -535,5 +536,5 @@ class MemoryNetwork:
                 self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
                           ttl=actor.ttl(), kind="banner", payload=banner)
                 found.append((port, banner.decode("ascii", "replace")))
-            self._transit(SCAN_STEP_S)
+            transit(SCAN_STEP_S)
         return sorted(found)

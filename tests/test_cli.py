@@ -66,6 +66,17 @@ BAD_CRITERIA = {
         "delay_ms must be a number >= 0, got 'abc'"),
     "not_finite": (None, "cam1, LOGIN, {user=root, password=root, port=inf}",
                    "port must be a number >= 0, got 'inf'"),
+    # counts and ports are whole numbers, never truncated to one
+    "fractional_port": (
+        None, "cam1, LOGIN, {user=root, password=root, port=23.9}",
+        "port must be a whole number >= 0, got '23.9'"),
+    "fractional_count": (
+        None, "tamper_attack, TEST, {target=cam1, transactions=2.5}",
+        "transactions must be a whole number >= 0, got '2.5'"),
+    "fractional_size": (
+        "criteria.data_leakage.entropy_min_size=2.5",
+        "data_leakage, TEST, {target=cam1}",
+        "entropy_min_size must be a whole number >= 0, got '2.5'"),
 }
 
 

@@ -13,6 +13,7 @@ from iotbed.model import (
     Test,
     TraceEntry,
     make_action,
+    param_count,
 )
 
 
@@ -120,3 +121,11 @@ def test_trace_entry_ok_flag():
     bad = TraceEntry(seq=2, ts=0.0, test_name="t", action=act,
                      outcome="error", message="boom")
     assert good.ok() and not bad.ok()
+
+
+def test_param_count_takes_whole_numbers_only():
+    assert param_count({"port": "23"}, "port") == 23
+    assert param_count({"port": "23.0"}, "port") == 23
+    assert param_count({}, "port", 80) == 80
+    with pytest.raises(ValidationError, match="whole number"):
+        param_count({"port": "23.9"}, "port")

@@ -567,3 +567,20 @@ def test_traced_members_sit_where_the_tracer_looks_them_up():
     assert "meth(simnet.memnet.MemoryNetwork, 'emit')" in checked
     assert len(checked) > 40
     assert missing == []
+
+
+def test_every_emit_call_passes_kind_by_keyword():
+    # the tracer counts records per kind from emit's kind= keyword; a call
+    # may pass the other fields positionally, or forward its own keywords
+    calls, bad = [], []
+    for name, node in source_nodes():
+        if not (isinstance(node, ast.Call) and "emit" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))):
+            continue
+        calls.append(f"{name}:{node.lineno}")
+        keywords = {k.arg for k in node.keywords}
+        if not keywords & {"kind", None}:
+            bad.append(calls[-1])
+    assert len(calls) >= 8
+    assert bad == []

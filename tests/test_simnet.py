@@ -3,6 +3,7 @@ virtual transport, loopback transport."""
 
 import collections
 import dataclasses
+import hashlib
 import math
 import random
 import sys
@@ -12,6 +13,7 @@ import time
 import pytest
 
 from iotbed.errors import AnalysisError, TransportError
+from iotbed.simnet.capture import write_capture
 from iotbed.simnet.clock import VirtualClock
 from iotbed.simnet.context import (
     ContextEvent,
@@ -447,6 +449,24 @@ def test_scan_probes_are_captured(camera_net):
     assert camera_net.emitted == len(camera_net.tap)
 
 
+def test_sweep_between_clock_events_is_pinned(camera_net, tmp_path):
+    # cam1's first telemetry session falls due at t = 7.5-8.9 s, inside a
+    # 1-3000 sweep begun at t = 6 s, so its records interleave with the
+    # probes; the digest was taken at commit 857587b, before the sweep
+    # built its records positionally
+    camera_net.observe(6)
+    camera_net.scan_ports("scanner", "cam1", range(1, 3001))
+    kinds = [r.kind for r in camera_net.tap.records]
+    assert collections.Counter(kinds) == {"probe": 3000, "background": 14,
+                                          "banner": 3}
+    first = kinds.index("background")
+    assert "probe" in kinds[first:first + 14]
+    path = tmp_path / "sweep.cap"
+    write_capture(camera_net.tap.records, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d02fae1e35105095bba71ae4c914db6c581a724277af079e42501b6e7845b70f")
+
+
 def test_stop_device_goes_silent(camera_net):
     camera_net.observe(5)
     camera_net.stop_device("cam1")
@@ -575,6 +595,22 @@ def test_loopback_roundtrip(camera_spec):
         conn.close()
         assert net.connect("tester", "cam1", 9999) is None
         assert net.emitted == len(net.tap)
+    finally:
+        net.shutdown()
+
+
+def test_loopback_emit_takes_fields_positionally(camera_spec):
+    # scan_ports passes a probe's fields positionally and kind by keyword
+    net = LoopbackNetwork(seed=5)
+    try:
+        net.spawn_device(camera_spec, dut=True)
+        net.emit("tester", 40001, "cam1", 23, 64, kind="probe", payload=b"")
+        with net.lock:
+            record, = [r for r in net.tap.records if r.src_addr == "tester"]
+            assert net.emitted == len(net.tap)
+        assert (record.src_port, record.dst_addr, record.dst_port,
+                record.ttl, record.kind, record.direction, record.size) == (
+            40001, "cam1", 23, 64, "probe", "to_dut", 0)
     finally:
         net.shutdown()
 
