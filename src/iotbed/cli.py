@@ -16,8 +16,8 @@ import sys
 
 from .config import CliConfig, load_config
 from .errors import TestbedError
-from .orchestrator import (RunOptions, builtin_descriptors, device_descriptor,
-                           render_report, run_scenario)
+from .orchestrator import (RunOptions, ScenarioRunner, builtin_descriptors,
+                           device_descriptor, render_report, run_scenario)
 from .profiler import (TrainParams, confusion_matrix, extract_features,
                        load_model, profile_device, render_confusion,
                        render_profile_record, render_profile_table,
@@ -75,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario")
     p_run.add_argument("scenario")
     p_run.add_argument("--runs-dir", help="where run artifacts go")
+    p_run.add_argument("--check", action="store_true",
+                       help="only validate the scenario and the files it "
+                       "names; exit 0 if valid, 2 if not")
 
     p_scan = sub.add_parser("scan", help="port-scan a device and score it")
     p_scan.add_argument("target", help="device spec file")
@@ -136,6 +139,10 @@ def _run_options(args, config: CliConfig) -> RunOptions:
 
 def cmd_run(args, config: CliConfig) -> int:
     scenario = load_scenario(args.scenario)
+    if args.check:
+        ScenarioRunner(scenario, _run_options(args, config)).validate()
+        print(f"{args.scenario}: ok")
+        return 0
     report = run_scenario(scenario, _run_options(args, config))
     print(f"run complete: {report.run_id}")
     print(f"report: {os.path.join(report.run_dir, 'report.txt')}")

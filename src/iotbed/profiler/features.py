@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
+from operator import attrgetter
 from statistics import fmean
 
 SUMMARY_LENGTH = 10
@@ -96,13 +97,6 @@ def summarize(rows: list[tuple[int, int, float]],
     )
 
 
-def _canonical(record) -> tuple:
-    a = (record.src_addr, record.src_port)
-    b = (record.dst_addr, record.dst_port)
-    lo, hi = sorted((a, b))
-    return (lo, hi, record.proto)
-
-
 def extract_features(capture, gap_timeout_s: float = SESSION_GAP_S,
                      label: str | None = None) -> list[SequenceInstance]:
     """Group capture records into sessions and summarize each one.
@@ -112,8 +106,11 @@ def extract_features(capture, gap_timeout_s: float = SESSION_GAP_S,
     """
     open_sessions: dict[tuple, list] = {}
     done: list[list] = []
-    for rec in sorted(capture, key=lambda r: (r.ts, r.seq)):
-        key = _canonical(rec)
+    for rec in sorted(capture, key=attrgetter("ts", "seq")):
+        # the same key for both directions: (lower end, higher end, proto)
+        a = (rec.src_addr, rec.src_port)
+        b = (rec.dst_addr, rec.dst_port)
+        key = (a, b, rec.proto) if a <= b else (b, a, rec.proto)
         current = open_sessions.get(key)
         if current is not None and rec.ts - current[-1].ts > gap_timeout_s:
             done.append(current)

@@ -17,11 +17,30 @@ the left.  Every entropy is summed with math.fsum, which rounds the exact
 sum once whatever the order of its terms, so every gain equals
 split_gain's on the same split bit for bit, and a model file is the same
 on every CPython version.
+
+Only boundary cuts are scored (Fayyad and Irani 1992, "On the handling of
+continuous-valued attributes in decision tree generation", Machine
+Learning 8).  A cut between the groups of equal values just left and just
+right of it is a boundary unless both groups hold one class, the same one.
+Between two scored cuts only rows of that one class cross, and along such
+a run the weighted entropy of the children is strictly concave in the
+number of rows crossed (unless the node holds one class, when no cut has
+a gain), so a cut inside the run scores strictly below one of its ends.
+The ends of a run are boundaries or the first and last cuts that min_leaf
+admits, and those two are scored as well: with min_leaf = 8 over twenty
+rows, six of class a then fourteen of class b, every admissible cut lies
+inside the b run and the first of them is the best.  The cuts skipped can
+therefore neither win nor tie (a skipped cut trails by at least about
+1 / (2 n**3 ln 2) bits over n rows, 4e-10 at n = 1200, far above a gain's
+rounding error), and the gains scored are computed as before, so the
+split found, its gain and the model file are bit for bit those of
+scoring every cut.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import fsum, isfinite, log2
 
@@ -100,7 +119,8 @@ def best_split(rows: list[tuple[tuple[float, ...], str]],
 
     Iterating features then thresholds in ascending order with a strict
     improvement test gives the lowest-feature, lowest-threshold tie-break
-    for free.
+    for free.  Only boundary cuts and the two ends of the min_leaf window
+    are scored; the module docstring says why no other cut can win.
     """
     labels = [y for _, y in rows]
     n = len(labels)
@@ -112,19 +132,35 @@ def best_split(rows: list[tuple[tuple[float, ...], str]],
     best_gain = 0.0
     n_features = len(rows[0][0])
     for f in range(n_features):
-        ordered = sorted(rows, key=lambda r: r[0][f])
-        values = [r[0][f] for r in ordered]
-        ys = [r[1] for r in ordered]
+        column = [x[f] for x, _ in rows]
+        order = sorted(range(n), key=column.__getitem__)
+        values = [column[j] for j in order]
+        ys = [labels[j] for j in order]
+        # cuts[k] is the sorted position where the value rises for the k-th
+        # time; pure[k] is the class of the group of equal values that ends
+        # at cuts[k] (the last group ends at n), None if it mixes classes
+        cuts = []
+        pure = [ys[0]]
+        for i in range(1, n):
+            if values[i] != values[i - 1]:
+                cuts.append(i)
+                pure.append(ys[i])
+            elif ys[i] != pure[-1]:
+                pure[-1] = None
+        first = bisect_left(cuts, min_leaf)
+        last = bisect_right(cuts, n - min_leaf) - 1
         left: dict[str, int] = {}
         right = dict(totals)
-        for i in range(1, n):
-            y = ys[i - 1]
-            left[y] = left.get(y, 0) + 1
-            right[y] -= 1
-            if values[i] == values[i - 1]:
+        moved = 0
+        for k in range(first, last + 1):
+            if (first < k < last and pure[k] is not None
+                    and pure[k] == pure[k + 1]):
                 continue
-            if i < min_leaf or n - i < min_leaf:
-                continue
+            i = cuts[k]
+            for y in ys[moved:i]:
+                left[y] = left.get(y, 0) + 1
+                right[y] -= 1
+            moved = i
             threshold = (values[i - 1] + values[i]) / 2.0
             if not values[i - 1] < threshold <= values[i]:
                 threshold = values[i]

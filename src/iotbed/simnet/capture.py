@@ -10,9 +10,11 @@ ttl, size, payload_entropy, payload_marker, direction) plus seq and kind
 for bookkeeping.  A size must be below 2**53, the largest integer a float
 holds exactly, so that a session's size sum and mean stay finite.
 
-read_capture matches each line in write_capture's layout with one regex;
-a line in any other order or spacing is split token by token instead, and
-both go through the same conversion.
+read_capture matches each line in write_capture's layout with one regex,
+whose groups are the line's values in CAPTURE_FIELDS order; a line in any
+other order or spacing, or with no kind, is split token by token instead
+and its values put in that order.  Both go through one positional
+conversion, which builds the record positionally too.
 
 The transport counts every record it emits; comparing that counter with
 the tap length is the capture-completeness invariant the tests lean on.
@@ -115,21 +117,30 @@ def write_capture(records: list[CaptureRecord], path: str) -> None:
                 f"kind={r.kind}\n")
 
 
-def _capture_record(kv: dict[str, str]) -> CaptureRecord:
-    marker = kv["payload_marker"]
-    size = int(kv["size"])
+def _capture_record(fields: tuple[str, ...]) -> CaptureRecord:
+    """The record of a line's values, given in CAPTURE_FIELDS order."""
+    (seq, ts, src_addr, dst_addr, src_port, dst_port, proto, ttl, size_text,
+     entropy, marker, direction, kind) = fields
+    size = int(size_text)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
     if size >= 2 ** 53:
-        raise ValueError(f"{len(kv['size'])}-digit size is not below 2**53")
-    return CaptureRecord(
-        seq=int(kv["seq"]), ts=finite(kv["ts"]), src_addr=kv["src_addr"],
-        dst_addr=kv["dst_addr"], src_port=int(kv["src_port"]),
-        dst_port=int(kv["dst_port"]), proto=kv["proto"],
-        ttl=integer(kv["ttl"]), size=size,
-        payload_entropy=finite(kv["payload_entropy"]),
-        payload_marker=None if marker == "-" else marker,
-        direction=kv["direction"], kind=kv.get("kind", ""))
+        raise ValueError(f"{len(size_text)}-digit size is not below 2**53")
+    return CaptureRecord(int(seq), finite(ts), src_addr, dst_addr,
+                         int(src_port), int(dst_port), proto, integer(ttl),
+                         size, finite(entropy),
+                         None if marker == "-" else marker, direction, kind)
+
+
+def _token_fields(text: str) -> tuple[str, ...]:
+    """The values of a line in any token order, in CAPTURE_FIELDS order;
+    kind may be left out.  payload_marker and size are looked up first, so
+    a line cut short reports one of them missing."""
+    kv = pairs(text)
+    marker, size = kv["payload_marker"], kv["size"]
+    return (kv["seq"], kv["ts"], kv["src_addr"], kv["dst_addr"],
+            kv["src_port"], kv["dst_port"], kv["proto"], kv["ttl"], size,
+            kv["payload_entropy"], marker, kv["direction"], kv.get("kind", ""))
 
 
 def read_capture(path: str) -> list[CaptureRecord]:
@@ -137,6 +148,6 @@ def read_capture(path: str) -> list[CaptureRecord]:
     source = Source(path)
     match = CAPTURE_LAYOUT.fullmatch
     with source.parsing():
-        return [_capture_record(m.groupdict() if (m := match(text))
-                                else pairs(text))
+        return [_capture_record(m.groups() if (m := match(text))
+                                else _token_fields(text))
                 for text in source]

@@ -200,6 +200,20 @@ def test_run_rejects_a_bad_scenario_at_its_line(tmp_path, capsys, case):
     assert threading.active_count() == threads
 
 
+
+def test_run_check_validates_without_running(run_layout, capsys):
+    runs = run_layout / "runs"
+    good = run_layout / "scn.scn"
+    assert main(["run", str(good), "--check", "--runs-dir", str(runs)]) == 0
+    assert capsys.readouterr().out == f"{good}: ok\n"
+    bad = run_layout / "bad.scn"
+    bad.write_text(RUN_SCENARIO.replace("baseline_s=20", "baseline_s=x"))
+    assert main(["run", str(bad), "--check", "--runs-dir", str(runs)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}:3: baseline_s must be a number")
+    assert not runs.exists()
+
+
 # Liveness, the two device commands that connect, and every test but the two
 # that wait seconds of wall time on loopback (data_leakage, delay_attack).
 BOTH_BACKENDS_SCENARIO = """\

@@ -351,6 +351,37 @@ def test_best_split_equals_exhaustive_search_exactly():
     assert found == exhaustive_best_split(rows, 2)
 
 
+def test_best_split_equals_exhaustive_search_on_separated_classes():
+    # classes drawn around spread-out means sort into long one-class runs,
+    # where best_split skips every cut that is not a boundary
+    rng = random.Random(24)
+    for trial in range(60):
+        n = rng.randrange(20, 150)
+        classes = "abcdefgh"[:rng.randrange(2, 9)]
+        spread = rng.choice((0.5, 2.0, 5.0))
+        digits = rng.choice((1, 6))          # 1 repeats values, 6 rarely
+        rows = []
+        for _ in range(n):
+            k = rng.randrange(len(classes))
+            rows.append(((round(rng.gauss(k * spread, 1.0), digits),
+                          round(rng.gauss(-k * spread, 1.0), digits)),
+                         classes[k]))
+        min_leaf = rng.choice((1, 5, 20))
+        found = best_split(rows, min_leaf)
+        assert found == exhaustive_best_split(rows, min_leaf), (trial, rows)
+
+
+@pytest.mark.parametrize("a_below, threshold", [(6, 7.5), (14, 11.5)])
+def test_best_split_scores_the_ends_of_the_min_leaf_window(a_below,
+                                                           threshold):
+    # the only class boundary lies outside the cuts min_leaf admits, so the
+    # best admissible cut is the end of the window nearest to it
+    rows = [((float(x),), "a" if x < a_below else "b") for x in range(20)]
+    found = best_split(rows, 8)
+    assert found[:2] == (0, threshold)
+    assert found == exhaustive_best_split(rows, 8)
+
+
 def test_training_with_exhaustive_search_writes_the_same_model(
         tmp_path, monkeypatch):
     # four overlapping classes; coarse rounding repeats values

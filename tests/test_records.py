@@ -438,6 +438,20 @@ def test_capture_of_any_ttl_a_spec_accepts_reads_back(tmp_path):
         assert {r.ttl for r in read_capture(path)} == {ttl}
 
 
+def test_capture_size_past_2_53_is_named_by_its_digits_on_both_paths(
+        tmp_path):
+    path = tmp_path / "big.cap"
+    write_capture([CaptureRecord.build(1, 2.5, "cam1", 80, "cloud", 443, 64,
+                                       "", "from_dut", b"x")], str(path))
+    line = path.read_text().replace("size=1 ", "size=+09007199254740992 ")
+    for text in (line, " ".join(reversed(line.split())) + "\n"):
+        path.write_text(text)
+        with pytest.raises(AnalysisError) as raised:
+            read_capture(str(path))
+        assert str(raised.value) == \
+            f"{path}:1: 18-digit size is not below 2**53"
+
+
 def test_capture_reader_reads_any_token_order_alike(files, tmp_path):
     # every line write_capture writes is read with one match of the layout;
     # a line in any other order, or with no kind, is split token by token,
