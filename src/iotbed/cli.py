@@ -58,6 +58,20 @@ file formats:
 """
 
 
+def _at_least(low: int):
+    """An argparse type: a whole number >= low."""
+    def whole_number(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number >= {low}, got {text!r}")
+        return value
+    return whole_number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iotbed",
@@ -95,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--labels", required=True,
                          help="capture-filename=device_type lines")
     p_train.add_argument("--out", required=True, help="model output path")
-    p_train.add_argument("--max-depth", type=int, default=12)
-    p_train.add_argument("--min-leaf", type=int, default=5)
+    p_train.add_argument("--max-depth", type=_at_least(0), default=12)
+    p_train.add_argument("--min-leaf", type=_at_least(1), default=5)
     p_train.add_argument("--holdout", help="second labels file evaluated "
                          "as a confusion matrix")
     p_test = prof_sub.add_parser("test")
@@ -210,9 +224,8 @@ def _labeled_instances(captures_dir: str, labels: dict[str, str]):
     instances = []
     for name in sorted(labels):
         path = os.path.join(captures_dir, name)
-        records = read_capture(path)
-        for inst in extract_features(records):
-            instances.append(inst.with_label(labels[name]))
+        instances += extract_features(read_capture(path),
+                                      label=labels[name])
     return instances
 
 

@@ -55,6 +55,12 @@ class TrainParams:
     max_depth: int = 12
     min_leaf: int = 5
 
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
+
 
 @dataclass(frozen=True)
 class Leaf:

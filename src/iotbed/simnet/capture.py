@@ -10,6 +10,14 @@ ttl, size, payload_entropy, payload_marker, direction) plus seq and kind
 for bookkeeping.  A size must be below 2**53, the largest integer a float
 holds exactly, so that a session's size sum and mean stay finite.
 
+write_capture formats only seq, ts and dst_port on every line.  The text
+before dst_port (the addresses and src_port) and the text after it (proto
+to kind) are reused from the previous line while their fields are the very
+same objects as the previous record's; a port sweep shares them across
+tens of thousands of records.  Identity, not equality, decides: 0.0 ==
+-0.0 and 64 == 64.0, yet each pair is written differently, and a miss only
+formats the fragment again.  Lines go out in blocks of a fixed size.
+
 read_capture matches each line in write_capture's layout with one regex,
 whose groups are the line's values in CAPTURE_FIELDS order; a line in any
 other order or spacing, or with no kind, is split token by token instead
@@ -23,7 +31,9 @@ the tap length is the capture-completeness invariant the tests lean on.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ..records import Source, finite, integer, pairs
 from .payload import find_gps_marker, shannon_entropy
@@ -60,16 +70,7 @@ class CaptureRecord:
                    ttl, len(payload), entropy, marker, direction, kind)
 
 
-def classify_direction(src: str, dst: str, dut_ids: set[str]) -> str:
-    src_in = src in dut_ids
-    dst_in = dst in dut_ids
-    if src_in and dst_in:
-        return "lateral"
-    if dst_in:
-        return "to_dut"
-    if src_in:
-        return "from_dut"
-    return "lateral"
+_ts = attrgetter("ts")
 
 
 class CaptureTap:
@@ -77,9 +78,8 @@ class CaptureTap:
 
     def __init__(self):
         self._records: list[CaptureRecord] = []
-
-    def add(self, record: CaptureRecord) -> None:
-        self._records.append(record)
+        # the list's own append: a record enters with no Python frame
+        self.add = self._records.append
 
     @property
     def records(self) -> list[CaptureRecord]:
@@ -92,8 +92,12 @@ class CaptureTap:
         return self._records[index:]
 
     def between(self, t0: float, t1: float) -> list[CaptureRecord]:
-        """Records with t0 <= ts < t1."""
-        return [r for r in self._records if t0 <= r.ts < t1]
+        """Records with t0 <= ts < t1.  The tap is in non-decreasing ts
+        order, as emit stamps the clock's now() as it appends, so both
+        ends are found by bisection."""
+        records = self._records
+        return records[bisect_left(records, t0, key=_ts):
+                       bisect_left(records, t1, key=_ts)]
 
 
 # The fields of a capture line in the order write_capture writes them.
@@ -102,19 +106,43 @@ CAPTURE_FIELDS = ("seq", "ts", "src_addr", "dst_addr", "src_port", "dst_port",
                   "direction", "kind")
 CAPTURE_LAYOUT = re.compile(" ".join(f"{name}=(?P<{name}>\\S*)"
                                      for name in CAPTURE_FIELDS) + "\n?")
+# write_capture joins this many lines, about 100 KiB, into one write: a
+# larger block saves little time and shows in a run's peak memory
+_BLOCK_LINES = 512
+_UNSET = object()           # no field is this object: the first line formats
 
 
 def write_capture(records: list[CaptureRecord], path: str) -> None:
+    # Per line only seq, ts and dst_port are formatted; the text around
+    # dst_port is reused while its fields are the previous record's objects.
+    src_addr = dst_addr = src_port = _UNSET
+    proto = ttl = size = entropy = marker = direction = kind = _UNSET
+    head = tail = ""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            marker = r.payload_marker if r.payload_marker else "-"
-            fh.write(
-                f"seq={r.seq} ts={r.ts:.6f} src_addr={r.src_addr} "
-                f"dst_addr={r.dst_addr} src_port={r.src_port} "
-                f"dst_port={r.dst_port} proto={r.proto} ttl={r.ttl} "
-                f"size={r.size} payload_entropy={r.payload_entropy:.4f} "
-                f"payload_marker={marker} direction={r.direction} "
-                f"kind={r.kind}\n")
+        for start in range(0, len(records), _BLOCK_LINES):
+            block = []
+            add = block.append
+            for r in records[start:start + _BLOCK_LINES]:
+                if (r.src_addr is not src_addr or r.dst_addr is not dst_addr
+                        or r.src_port is not src_port):
+                    src_addr, dst_addr = r.src_addr, r.dst_addr
+                    src_port = r.src_port
+                    head = (f" src_addr={src_addr} dst_addr={dst_addr} "
+                            f"src_port={src_port} dst_port=")
+                if (r.proto is not proto or r.ttl is not ttl
+                        or r.size is not size
+                        or r.payload_entropy is not entropy
+                        or r.payload_marker is not marker
+                        or r.direction is not direction or r.kind is not kind):
+                    proto, ttl, size = r.proto, r.ttl, r.size
+                    entropy, marker = r.payload_entropy, r.payload_marker
+                    direction, kind = r.direction, r.kind
+                    tail = (f" proto={proto} ttl={ttl} size={size} "
+                            f"payload_entropy={entropy:.4f} "
+                            f"payload_marker={marker if marker else '-'} "
+                            f"direction={direction} kind={kind}\n")
+                add(f"seq={r.seq} ts={r.ts:.6f}{head}{r.dst_port}{tail}")
+            fh.write("".join(block))
 
 
 def _capture_record(fields: tuple[str, ...]) -> CaptureRecord:

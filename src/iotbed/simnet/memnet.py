@@ -17,7 +17,11 @@ captures: each leg of a client operation advances the clock by its
 modelled latency, firing any background events that fall due in between.
 Every record enters the tap through a single emit point that also
 increments the completeness counter; a port sweep builds its records
-positionally through that same emit, one call per probe.
+positionally through that same emit, one call per probe.  emit classifies
+the direction inline and appends through the tap list's own append, so a
+probe record runs no Python function but emit, the clock's now() and
+CaptureRecord.build.
+Ephemeral source ports wrap back to the start of their range after 65535.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from ..errors import TransportError
-from .capture import CaptureRecord, CaptureTap, classify_direction
+from .capture import CaptureRecord, CaptureTap
 from .clock import VirtualClock
 from .context import ContextEvent, ContextFeed
 from .devspec import DeviceSpec
@@ -101,6 +105,12 @@ class _Proxy:
         self.background_path = _PathState()
 
 
+def _ephemeral_ports(first: int):
+    """first, first + 1, ..., 65535, then first again, and so on."""
+    while True:
+        yield from range(first, 65536)
+
+
 @dataclass
 class BurstWindow:
     """Ground truth of one attack burst, for oracles and reports."""
@@ -126,7 +136,7 @@ class _DeviceActor:
         self.samples: list[InternalStatusSample] = []
         self.burst_windows: list[BurstWindow] = []
         self._in_trigger_window = False
-        self._eph_ports = itertools.count(40000)
+        self._eph_ports = _ephemeral_ports(40000)
         self._started = False
 
     # -- lifecycle -----------------------------------------------------
@@ -383,7 +393,7 @@ class MemoryNetwork:
         self.dut_ids: set[str] = set()
         self.emitted = 0
         self._proxies: dict[str, _Proxy] = {}
-        self._eph_ports = itertools.count(50000)
+        self._eph_ports = _ephemeral_ports(50000)
         self._capture_ids = itertools.count(1)
         self._captures: dict[int, CaptureHandle] = {}
 
@@ -391,9 +401,14 @@ class MemoryNetwork:
     def emit(self, src: str, src_port: int, dst: str, dst_port: int,
              ttl: int, kind: str, payload: bytes) -> None:
         self.emitted += 1
+        dut_ids = self.dut_ids
+        if dst in dut_ids:
+            direction = "lateral" if src in dut_ids else "to_dut"
+        else:
+            direction = "from_dut" if src in dut_ids else "lateral"
         self.tap.add(CaptureRecord.build(
             self.emitted, self.clock.now(), src, src_port, dst, dst_port, ttl,
-            kind, classify_direction(src, dst, self.dut_ids), payload))
+            kind, direction, payload))
 
     # -- device lifecycle -----------------------------------------------
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:

@@ -45,7 +45,8 @@ def shannon_entropy(data: bytes) -> float:
     counts = Counter(data).values()
     n = len(data)
     terms = {c: (c / n) * log2(c / n) for c in set(counts)}
-    return -sum(map(terms.__getitem__, counts))
+    # 0.0 - x, not -x: one symbol gives 0.0, where -x would give -0.0
+    return 0.0 - sum(map(terms.__getitem__, counts))
 
 
 def encrypted_payload(rng: random.Random, size: int) -> bytes:

@@ -404,8 +404,10 @@ def test_profile_test_malformed_capture_is_an_input_error(tmp_path, capsys):
     ("ip_camera:1.0", "ip_camera:x", 7),
     ("L 1 ip_camera:1.0\n", "", 7),        # tree section with no nodes
     ("ip_camera:1.0", "ip_camera:0.5", 7),
+    ("max_depth=12", "max_depth=-1", 4),
+    ("min_leaf=5", "min_leaf=0", 4),
 ], ids=["max-depth", "features", "leaf-probability", "no-nodes",
-        "leaf-sums-to-half"])
+        "leaf-sums-to-half", "negative-max-depth", "zero-min-leaf"])
 def test_profile_test_malformed_model_is_an_input_error(tmp_path, capsys,
                                                         good, bad, line):
     model_path = tmp_path / "model.prof"
@@ -446,6 +448,29 @@ def test_profile_train_with_empty_labels(profile_layout, capsys):
                  "--out", str(profile_layout / "m.prof")])
     assert code == 2
     assert "no labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--min-leaf", "-3"), ("--min-leaf", "0"), ("--max-depth", "-1"),
+    ("--min-leaf", "x")])
+def test_profile_train_rejects_nonsense_tree_parameters(tmp_path, capsys,
+                                                        flag, value):
+    out = tmp_path / "m.prof"
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "train", "--captures", str(tmp_path),
+              "--labels", str(tmp_path / "train.labels"), "--out", str(out),
+              flag, value])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: expected a whole number"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_profile_train_takes_the_least_tree_parameters():
+    args = build_parser().parse_args([
+        "profile", "train", "--captures", "c", "--labels", "l", "--out", "o",
+        "--max-depth", "0", "--min-leaf", "1"])
+    assert (args.max_depth, args.min_leaf) == (0, 1)
 
 
 def test_list_elements_builtin_inventory(tmp_path, capsys, monkeypatch):

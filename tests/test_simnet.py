@@ -13,7 +13,8 @@ import time
 import pytest
 
 from iotbed.errors import AnalysisError, TransportError
-from iotbed.simnet.capture import write_capture
+from iotbed.simnet.capture import (CaptureRecord, read_capture,
+                                   write_capture)
 from iotbed.simnet.clock import VirtualClock
 from iotbed.simnet.context import (
     ContextEvent,
@@ -167,6 +168,18 @@ def test_entropy_matches_independent_estimate():
                                                              34.7818)))
     for data in cases:
         assert shannon_entropy(data) == oracle_entropy(data)
+
+
+def test_single_symbol_payload_is_written_with_plus_zero_entropy(tmp_path):
+    assert math.copysign(1, shannon_entropy(b"AAAA")) == 1
+    records = [CaptureRecord.build(seq, float(seq), "cam1", 40000, "cloud",
+                                   8883, 64, "background", "from_dut", data)
+               for seq, data in enumerate((b"A", b"AAAA"), start=1)]
+    path = tmp_path / "one-symbol.cap"
+    write_capture(records, str(path))
+    text = path.read_text()
+    assert text.count(" payload_entropy=0.0000 ") == 2
+    assert "-0.0000" not in text
 
 
 def choice_loop_payload(rng: random.Random, size: int,
@@ -425,6 +438,31 @@ def test_tap_between_is_half_open(camera_net):
     assert all(r.ts >= t_mid for r in late)
 
 
+def test_tap_is_in_time_order_and_between_equals_a_linear_filter(
+        camera_spec):
+    # a proxy delay defers telemetry emission; the tap still comes out in
+    # time order, since each record is stamped as it is appended
+    net = MemoryNetwork(seed=3)
+    net.spawn_device(camera_spec, dut=True)
+    net.proxy("cam1", ProxyMutator(delay_ms=250))
+    net.observe(12)
+    net.scan_ports("tester", "cam1", range(1, 30))    # probe, banner: ties
+    conn = net.connect("tester", "cam1", 23)
+    conn.request(b"BANNER")
+    net.observe(20)
+    records = net.tap.records
+    stamps = [r.ts for r in records]
+    assert stamps == sorted(stamps)
+    assert len(set(stamps)) < len(stamps)
+    cuts = sorted({-1.0, 0.0, 7.25, net.now(), net.now() + 1.0,
+                   *stamps[::max(1, len(stamps) // 12)],
+                   *(a for a, b in zip(stamps, stamps[1:]) if a == b)})
+    for t0 in cuts:
+        for t1 in cuts:
+            assert net.tap.between(t0, t1) == [r for r in records
+                                               if t0 <= r.ts < t1]
+
+
 def test_connect_and_request(camera_net):
     conn = camera_net.connect("tester", "cam1", 23)
     assert conn is not None
@@ -465,6 +503,119 @@ def test_sweep_between_clock_events_is_pinned(camera_net, tmp_path):
     write_capture(camera_net.tap.records, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "d02fae1e35105095bba71ae4c914db6c581a724277af079e42501b6e7845b70f")
+
+
+BOX_TEXT = """\
+device: box type=server connectivity=ethernet
+port: 23 service=telnet
+"""
+
+
+def test_ephemeral_ports_wrap_to_the_start_of_their_range():
+    net = MemoryNetwork(seed=1)
+    net.spawn_device(load_text(load_device_spec, BOX_TEXT)[0], dut=True)
+    for _ in range(15537):
+        assert net.connect("tester", "box", 9) is None
+    ports = [r.src_port for r in net.tap.records if r.kind == "probe"]
+    assert ports[:2] == [50000, 50001]
+    assert ports[15534:] == [65534, 65535, 50000]
+    device_ports = net.actors["box"]._eph_ports
+    draws = [next(device_ports) for _ in range(25537)]
+    assert draws[:2] == [40000, 40001]
+    assert draws[25534:] == [65534, 65535, 40000]
+
+
+def reference_write_capture(records, path):
+    # write_capture as one f-string per line: the layout it must keep
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            marker = r.payload_marker if r.payload_marker else "-"
+            fh.write(
+                f"seq={r.seq} ts={r.ts:.6f} src_addr={r.src_addr} "
+                f"dst_addr={r.dst_addr} src_port={r.src_port} "
+                f"dst_port={r.dst_port} proto={r.proto} ttl={r.ttl} "
+                f"size={r.size} payload_entropy={r.payload_entropy:.4f} "
+                f"payload_marker={marker} direction={r.direction} "
+                f"kind={r.kind}\n")
+
+
+def written_alike(records, tmp_path) -> bytes:
+    ours, ref = tmp_path / "ours.cap", tmp_path / "reference.cap"
+    write_capture(records, str(ours))
+    reference_write_capture(records, str(ref))
+    assert ours.read_bytes() == ref.read_bytes()
+    return ours.read_bytes()
+
+
+def test_capture_writer_matches_the_reference_on_a_sweep(camera_net,
+                                                         tmp_path):
+    # more lines than one write block, with telemetry sessions inside
+    camera_net.observe(6)
+    camera_net.scan_ports("scanner", "cam1", range(1, 5001))
+    records = camera_net.tap.records
+    assert len(records) > 5000
+    written_alike(records, tmp_path)
+
+
+def fleet_of(n: int) -> str:
+    lines = []
+    for i in range(n):
+        lines += [f"device: d{i:02d} type=sensor connectivity=wifi",
+                  f"traffic: size_mean={48 + 40 * i} size_stddev=24 "
+                  f"gap_ms=60 session_rate=20 ttl={(32, 64, 128)[i % 3]}"]
+        if i % 2:
+            lines += ["encryption: payload=plaintext",
+                      "stored_data: sensitive"]
+    return "\n".join(lines) + "\n"
+
+
+def test_capture_writer_matches_the_reference_on_a_fleet(tmp_path):
+    net = MemoryNetwork(seed=11)
+    for i, spec in enumerate(load_text(load_device_spec, fleet_of(20))):
+        net.spawn_device(spec, dut=i % 3 != 0)
+    net.observe(30)
+    records = net.tap.records
+    assert len({r.src_addr for r in records}) == 20
+    assert {r.direction for r in records} == {"from_dut", "lateral"}
+    assert any(r.payload_marker for r in records)
+    written_alike(records, tmp_path)
+
+
+def test_capture_writer_matches_the_reference_on_records_read_back(
+        camera_net, tmp_path):
+    # read back, the fields are equal but no longer the same objects
+    camera_net.observe(20)
+    camera_net.scan_ports("scanner", "cam1", range(1, 300))
+    path = tmp_path / "first.cap"
+    write_capture(camera_net.tap.records, str(path))
+    again = read_capture(str(path))
+    assert again[0].src_addr is not again[1].src_addr
+    assert written_alike(again, tmp_path) == path.read_bytes()
+
+
+def test_capture_writer_tells_equal_fields_apart_by_identity(tmp_path):
+    # each record shares every field object but one with the one before;
+    # the changed field is equal to the old one yet written differently
+    gps = gps_marker(32.0853, 34.7818)
+    records = [CaptureRecord(1, 0.5, "cam1", "cloud", 40000, 8883, "tcp", 64,
+                             100, 0.0, None, "from_dut", "background")]
+    for change in ({"payload_entropy": -0.0}, {"payload_entropy": 0.0},
+                   {"ttl": 64.0}, {"ttl": 64}, {"payload_marker": gps},
+                   {"payload_marker": None}, {"src_port": 40000.0},
+                   {"src_port": 40000}, {"size": 100.0}):
+        prev = records[-1]
+        records.append(dataclasses.replace(prev, seq=prev.seq + 1,
+                                           ts=prev.ts + 0.25, **change))
+    lines = written_alike(records, tmp_path).decode().splitlines()
+    assert [line.split()[9] for line in lines[:3]] == [
+        "payload_entropy=0.0000", "payload_entropy=-0.0000",
+        "payload_entropy=0.0000"]
+    assert [line.split()[7] for line in lines[2:5]] == [
+        "ttl=64", "ttl=64.0", "ttl=64"]
+    assert lines[5].split()[10] == f"payload_marker={gps}"
+    assert [line.split()[4] for line in lines[6:9]] == [
+        "src_port=40000", "src_port=40000.0", "src_port=40000"]
+    assert lines[9].split()[8] == "size=100.0"
 
 
 def test_stop_device_goes_silent(camera_net):
