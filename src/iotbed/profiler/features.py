@@ -1,7 +1,8 @@
 """Session feature extraction from capture records.
 
 Records are grouped into sessions by their bidirectional 5-tuple with a gap
-timeout, and each session is summarized into a fixed 10-dimensional vector:
+timeout.  A session is kept only as its key, its label and one fixed
+10-dimensional summary of its packets:
 
     0 pkt_size mean        5 inter_arrival_ms stddev
     1 pkt_size stddev      6 modal ttl (ties -> smallest)
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from math import isqrt
 from operator import attrgetter
 from statistics import fmean
@@ -64,36 +66,30 @@ def pstdev(values) -> float:
 
 @dataclass(frozen=True)
 class SequenceInstance:
-    """One observed session: per-packet rows plus their fixed summary."""
+    """One observed session: its key, its fixed summary and its label."""
 
     session_key: tuple[str, str, int, int, str]   # src, dst, sport, dport, proto
-    features: tuple[tuple[int, int, float], ...]  # (ttl, pkt_size, inter_arrival_ms)
     summary: tuple[float, ...]
     label: str | None = None
 
     def __post_init__(self):
-        if not self.features:
-            raise ValueError("feature list must be non-empty")
-        if any(row[2] < 0 for row in self.features):
-            raise ValueError("inter_arrival_ms must be >= 0")
         if len(self.summary) != SUMMARY_LENGTH:
             raise ValueError(f"summary must have {SUMMARY_LENGTH} entries")
 
-    def with_label(self, label: str) -> "SequenceInstance":
-        return SequenceInstance(self.session_key, self.features,
-                                self.summary, label)
 
-
-def summarize(rows: list[tuple[int, int, float]],
-              direction_ratio: float) -> tuple[float, ...]:
-    sizes = [size for _, size, _ in rows]
-    gaps = [gap for _, _, gap in rows]
-    ttls = Counter(ttl for ttl, _, _ in rows)
+def summarize(packets) -> tuple[float, ...]:
+    """The summary of one session's records, given in (ts, seq) order."""
+    first = packets[0]
+    sizes = [rec.size for rec in packets]
+    gaps = [0.0] + [(b.ts - a.ts) * 1000.0 for a, b in pairwise(packets)]
+    ttls = Counter(rec.ttl for rec in packets)
     modal_ttl = max(ttls.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    ratio = sum(1 for rec in packets
+                if rec.src_addr == first.src_addr) / len(packets)
     return (
         fmean(sizes), pstdev(sizes), float(min(sizes)), float(max(sizes)),
         fmean(gaps), pstdev(gaps), float(modal_ttl),
-        float(len(rows)), float(sum(sizes)), direction_ratio,
+        float(len(packets)), float(sum(sizes)), ratio,
     )
 
 
@@ -121,23 +117,7 @@ def extract_features(capture, gap_timeout_s: float = SESSION_GAP_S,
         current.append(rec)
     done.extend(open_sessions.values())
     done.sort(key=lambda packets: (packets[0].ts, packets[0].seq))
-
-    instances = []
-    for packets in done:
-        first = packets[0]
-        rows = []
-        prev_ts = None
-        for rec in packets:
-            gap_ms = 0.0 if prev_ts is None else (rec.ts - prev_ts) * 1000.0
-            rows.append((rec.ttl, rec.size, gap_ms))
-            prev_ts = rec.ts
-        ratio = sum(1 for rec in packets
-                    if rec.src_addr == first.src_addr) / len(packets)
-        instances.append(SequenceInstance(
-            session_key=(first.src_addr, first.dst_addr,
-                         first.src_port, first.dst_port, first.proto),
-            features=tuple(rows),
-            summary=summarize(rows, ratio),
-            label=label,
-        ))
-    return instances
+    return [SequenceInstance((p[0].src_addr, p[0].dst_addr, p[0].src_port,
+                              p[0].dst_port, p[0].proto),
+                             summarize(p), label)
+            for p in done]

@@ -51,18 +51,26 @@ def load_score_list(path: str) -> dict[int, PortScoreEntry]:
 
 
 def parse_ports(value) -> list[int] | range:
-    """Ports to scan from a "lo-hi" range or a comma list; None is all."""
+    """Ports to scan from a "lo-hi" range or a comma list; None is all.
+
+    ValueError for a port outside 1-65535; a range is checked at its ends.
+    """
     if value is None:
         return range(1, 65536)
     if isinstance(value, range):
         return value
-    if isinstance(value, (list, tuple)):
-        return [int(p) for p in value]
     text = str(value)
-    if "-" in text:
+    if isinstance(value, (list, tuple)):
+        ports = ends = [int(p) for p in value]
+    elif "-" in text:
         lo, _, hi = text.partition("-")
-        return range(int(lo), int(hi) + 1)
-    return [int(p) for p in text.split(",") if p]
+        ends = [int(lo), int(hi)]
+        ports = range(ends[0], ends[1] + 1)
+    else:
+        ports = ends = [int(p) for p in text.split(",") if p]
+    if not all(1 <= port <= 65535 for port in ends):
+        raise ValueError(f"a port outside 1-65535 in {value!r}")
+    return ports
 
 
 def format_score(x: float) -> str:

@@ -157,6 +157,16 @@ class DeviceSpec:
             if self.traffic.session_rate < 0:
                 raise ValueError(
                     f"{self.device_id}: session_rate must be >= 0")
+        if self.monitor.period_s <= 0:
+            raise ValueError(f"{self.device_id}: period_s must be > 0")
+        if (self.compromise is not None
+                and self.compromise.probe_interval_ms < 0):
+            raise ValueError(f"{self.device_id}: interval_ms must be >= 0")
+        if self.false_alarm is not None:
+            if self.false_alarm.packets < 0:
+                raise ValueError(f"{self.device_id}: packets must be >= 0")
+            if self.false_alarm.gap_ms < 0:
+                raise ValueError(f"{self.device_id}: gap_ms must be >= 0")
         for port in self.ports.values():
             if not 1 <= port.number <= 65535:
                 raise ValueError(

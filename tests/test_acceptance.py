@@ -309,15 +309,13 @@ def test_criterion_05_profiler_five_class_holdout_accuracy():
                                   sessions=140)
         test_cap = synth_capture(rng, name, size_mean, gap_ms, ttl,
                                  sessions=60)
-        train_instances += [i.with_label(name)
-                            for i in extract_features(train_cap)]
+        train_instances += extract_features(train_cap, label=name)
         held[name] = test_cap
     assert len(train_instances) == 5 * 140
 
     model = train_model(train_instances, TrainParams())
-    held_instances = [i.with_label(name)
-                      for name, cap in held.items()
-                      for i in extract_features(cap)]
+    held_instances = [i for name, cap in held.items()
+                      for i in extract_features(cap, label=name)]
     assert len(held_instances) == 5 * 60
     matrix = confusion_matrix(model, held_instances)
     assert matrix_accuracy(matrix) >= 0.90

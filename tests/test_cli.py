@@ -51,6 +51,8 @@ def test_run_prints_summary_and_exits_clean(run_layout, capsys):
 BAD_CRITERIA = {
     "ports": (None, "port_risk, TEST, {target=cam1, ports=abc}",
               "ports: bad port list 'abc'"),
+    "port_range": (None, "port_risk, TEST, {target=cam1, ports=0-70000}",
+                   "ports: bad port list '0-70000'"),
     "management_ports": (
         None, "management_access, TEST, {target=cam1, management_ports=x}",
         "management_ports: bad port list 'x'"),
@@ -524,9 +526,10 @@ def test_bad_config_value_names_path_and_line(tmp_path, capsys):
     assert f"error: {config}:3: " in capsys.readouterr().err
 
 
-def test_scan_bad_ports_is_a_usage_error(run_layout):
+@pytest.mark.parametrize("ports", ["x", "70000"])
+def test_scan_bad_ports_is_a_usage_error(run_layout, ports):
     with pytest.raises(SystemExit) as exc:
-        main(["scan", str(run_layout / "cam.dev"), "--ports", "x"])
+        main(["scan", str(run_layout / "cam.dev"), "--ports", ports])
     assert exc.value.code == 2
 
 

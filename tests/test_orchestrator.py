@@ -400,8 +400,7 @@ def test_profile_model_option_adds_profiling_section(tmp_path):
     net = MemoryNetwork(seed=3)
     net.spawn_device(spec, dut=True)
     net.observe(120)
-    instances = [inst.with_label("camlike")
-                 for inst in extract_features(net.tap.records)]
+    instances = extract_features(net.tap.records, label="camlike")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = train_model(instances, TrainParams(max_depth=4, min_leaf=2))

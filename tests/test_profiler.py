@@ -1,5 +1,6 @@
 """Traffic profiling: session features, the decision tree, device profiles."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -110,8 +111,8 @@ def test_pstdev_is_correctly_rounded():
 
 
 def test_modal_ttl_tie_breaks_to_smallest():
-    s = summarize([(64, 10, 0.0), (64, 10, 1.0), (32, 10, 1.0),
-                   (32, 10, 1.0)], 1.0)
+    s = summarize([rec(1, 0.0, ttl=64), rec(2, 0.001, ttl=64),
+                   rec(3, 0.002, ttl=32), rec(4, 0.003, ttl=32)])
     assert s[6] == 32.0
 
 
@@ -190,16 +191,8 @@ def test_extraction_against_manual_grouping_oracle():
 
 def test_sequence_instance_invariants():
     with pytest.raises(ValueError):
-        SequenceInstance(("a", "b", 1, 2, "tcp"), (), (0.0,) * 10)
-    with pytest.raises(ValueError):
-        SequenceInstance(("a", "b", 1, 2, "tcp"), ((64, 10, -1.0),),
-                         (0.0,) * 10)
-    with pytest.raises(ValueError):
-        SequenceInstance(("a", "b", 1, 2, "tcp"), ((64, 10, 0.0),),
-                         (0.0,) * 9)
-    inst = SequenceInstance(("a", "b", 1, 2, "tcp"), ((64, 10, 0.0),),
-                            (0.0,) * 10)
-    assert inst.with_label("cam").label == "cam"
+        SequenceInstance(("a", "b", 1, 2, "tcp"), (0.0,) * 9)
+    inst = SequenceInstance(("a", "b", 1, 2, "tcp"), (0.0,) * 10)
     assert inst.label is None
 
 
@@ -556,10 +549,10 @@ PINNED_CLASSES = (("cam", 400, 100, 0.05), ("hub", 400, 100, 0.2),
 
 def test_trained_model_file_is_pinned(tmp_path):
     rng = random.Random(3)
-    train = [inst.with_label(device)
-             for device, size_mean, gap_ms, spread in PINNED_CLASSES
+    train = [inst for device, size_mean, gap_ms, spread in PINNED_CLASSES
              for inst in extract_features(synth_capture(
-                 rng, device, size_mean, gap_ms, 64, 40, spread=spread))]
+                 rng, device, size_mean, gap_ms, 64, 40, spread=spread),
+                 label=device)]
     path = tmp_path / "pinned.prof"
     save_model(train_model(train), str(path))
     assert path.read_text().count("\nN ") == 10
@@ -592,8 +585,8 @@ def two_class_model():
     rng = random.Random(31)
     cam = synth_capture(rng, "cam", 900, 40, 64, 40)
     mote = synth_capture(rng, "mote", 120, 400, 32, 40)
-    train = [i.with_label("cam") for i in extract_features(cam)] + \
-        [i.with_label("mote") for i in extract_features(mote)]
+    train = extract_features(cam, label="cam") + \
+        extract_features(mote, label="mote")
     return train_model(train, TrainParams())
 
 
@@ -634,17 +627,17 @@ def test_profile_empty_capture_is_indeterminate(two_class_model):
 
 def test_confusion_matrix_and_accuracy(two_class_model):
     rng = random.Random(80)
-    held = [i.with_label("cam") for i in extract_features(
-        synth_capture(rng, "c2", 900, 40, 64, 15))]
-    held += [i.with_label("mote") for i in extract_features(
-        synth_capture(rng, "m2", 120, 400, 32, 15))]
+    held = extract_features(synth_capture(rng, "c2", 900, 40, 64, 15),
+                            label="cam")
+    held += extract_features(synth_capture(rng, "m2", 120, 400, 32, 15),
+                             label="mote")
     matrix = confusion_matrix(two_class_model, held)
     total = sum(sum(row.values()) for row in matrix.values())
     assert total == len(held)
     assert matrix_accuracy(matrix) >= 0.9
     with pytest.raises(AnalysisError):
         confusion_matrix(two_class_model,
-                         [held[0].with_label("fridge")])
+                         [dataclasses.replace(held[0], label="fridge")])
 
 
 def test_render_profile_outputs(two_class_model):

@@ -82,14 +82,25 @@ def test_zero_session_rate_means_silent_device():
     assert [r for r in net.tap.records if r.src_addr == "quiet"] == []
 
 
-def test_negative_session_rate_rejected(tmp_path):
+@pytest.mark.parametrize("line, name", [
+    ("traffic: session_rate=-1", "session_rate"),
+    # zero would sample status forever at one instant; a negative value
+    # would end the run in the clock's "negative delay"
+    ("monitor: period_s=0", "period_s"),
+    ("monitor: period_s=-1", "period_s"),
+    ("compromise: lat=0 lon=0 radius_m=10 interval_ms=-50", "interval_ms"),
+    ("false_alarm: at_s=10 gap_ms=-50", "gap_ms"),
+    ("false_alarm: at_s=10 packets=-4", "packets"),
+], ids=["session_rate", "zero_period", "negative_period", "interval_ms",
+        "gap_ms", "packets"])
+def test_negative_session_rate_rejected(tmp_path, line, name):
     # a contradiction found once the block is complete is reported at the
     # device's own line
     with pytest.raises(AnalysisError,
-                       match=input_at(tmp_path, 2) + "d: session_rate"):
+                       match=input_at(tmp_path, 2) + f"d: {name}"):
         load_text(load_device_spec,
                   "# fleet\ndevice: d type=server connectivity=ethernet\n"
-                  "traffic: session_rate=-1\n", tmp_path)
+                  f"{line}\n", tmp_path)
 
 
 def test_bad_property_values_rejected(tmp_path):
