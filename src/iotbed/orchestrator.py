@@ -193,7 +193,6 @@ class ScenarioRunner:
         self.window_s = self.options.window_s
         self.k = self.options.k
         self.profile_model = None
-        self.context_log = []
         self.trajectories: dict[str, list] = {}    # file param -> its events
 
     # -- validation ------------------------------------------------------
@@ -401,7 +400,6 @@ class ScenarioRunner:
             if action.command is Command.START:
                 events = self.trajectories[str(params["file"])]
                 self.net.advance_context(events)
-                self.context_log.extend(events)
                 return f"replayed {len(events)} context events", ()
             return "trajectory replay idle", ()
         if action.element == SNIFFER:
@@ -506,7 +504,7 @@ class ScenarioRunner:
             return []
         anomalies = detect_anomalies(
             series, p2_start, build_baseline(baseline_series, w), self.k)
-        findings = correlate(anomalies, self.context_log, w)
+        findings = correlate(anomalies, self.net.feed.history, w)
         write_window_stats(series, p2_start, w,
                            os.path.join(self.run_dir, "windows.rec"))
         write_findings(findings,

@@ -53,7 +53,7 @@ def load_score_list(path: str) -> dict[int, PortScoreEntry]:
 def parse_ports(value) -> list[int] | range:
     """Ports to scan from a "lo-hi" range or a comma list; None is all.
 
-    ValueError for a port outside 1-65535; a range is checked at its ends.
+    ValueError for a reversed range or a port outside 1-65535 (range ends).
     """
     if value is None:
         return range(1, 65536)
@@ -66,6 +66,8 @@ def parse_ports(value) -> list[int] | range:
         lo, _, hi = text.partition("-")
         ends = [int(lo), int(hi)]
         ports = range(ends[0], ends[1] + 1)
+        if not ports:
+            raise ValueError(f"a reversed range {value!r}")
     else:
         ports = ends = [int(p) for p in text.split(",") if p]
     if not all(1 <= port <= 65535 for port in ends):

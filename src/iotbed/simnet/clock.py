@@ -4,8 +4,9 @@ VirtualClock drives the in-memory backend: every scheduled callback fires
 at an exact virtual instant, ties broken by scheduling order, so a run is
 reproducible to the timestamp.  now() never goes backwards.
 
-WallClock drives the loopback backend: the same queue, drained in real
-time by one daemon thread; advance(seconds) waits that long.
+WallClock drives the loopback backend: the same queue in real time,
+drained by the loopback I/O loop through fire_due(), which returns how
+long that loop may sleep; advance(seconds) waits that long.
 """
 
 from __future__ import annotations
@@ -51,22 +52,20 @@ class VirtualClock:
 
 
 class WallClock:
-    """Fires scheduled callbacks on one daemon thread, in wall time.
+    """The same queue in wall time, drained by the loop that calls fire_due().
 
     Each callback runs while holding `lock`, the lock that guards the
-    state the callbacks share with other threads.  Call shutdown() when
-    done; callbacks still queued then never fire.
+    state the callbacks share with other threads.  schedule() calls
+    `wake`, so that a loop asleep until the old queue head recomputes
+    its timeout.
     """
 
-    def __init__(self, lock: threading.RLock):
+    def __init__(self, lock: threading.RLock, wake: Callable[[], None]):
         self._lock = lock
+        self._wake = wake
         self._t0 = time.monotonic()
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
-        self._cond = threading.Condition()
-        self._stopped = False
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
 
     def now(self) -> float:
         return time.monotonic() - self._t0
@@ -75,34 +74,22 @@ class WallClock:
         """Run callback delay seconds from now (delay >= 0)."""
         if delay < 0:
             raise ValueError("negative delay")
-        with self._cond:
+        with self._lock:
             heapq.heappush(self._queue,
                            (self.now() + delay, next(self._counter), callback))
-            self._cond.notify()
+        self._wake()
 
     def advance(self, seconds: float) -> None:
-        """Wait seconds of wall time while callbacks fire on their thread."""
+        """Wait seconds of wall time while the loop fires callbacks."""
         time.sleep(seconds)
 
-    def _run(self) -> None:
-        with self._cond:
-            while not self._stopped:
-                wait = self._queue[0][0] - self.now() if self._queue else None
-                if wait is None or wait > 0:
-                    self._cond.wait(wait)
-                    continue
-                _, _, callback = heapq.heappop(self._queue)
-                # A callback takes `lock` and may schedule more events, so
-                # it must not run while this thread holds the condition.
-                self._cond.release()
-                try:
-                    with self._lock:
-                        callback()
-                finally:
-                    self._cond.acquire()
-
-    def shutdown(self) -> None:
-        with self._cond:
-            self._stopped = True
-            self._cond.notify()
-        self._thread.join(timeout=1.0)
+    def fire_due(self) -> float | None:
+        """Run every callback that is due; the seconds until the next one,
+        or None when none is queued."""
+        with self._lock:
+            while self._queue:
+                wait = self._queue[0][0] - self.now()
+                if wait > 0:
+                    return wait
+                heapq.heappop(self._queue)[2]()
+            return None

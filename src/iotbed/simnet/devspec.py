@@ -159,9 +159,13 @@ class DeviceSpec:
                     f"{self.device_id}: session_rate must be >= 0")
         if self.monitor.period_s <= 0:
             raise ValueError(f"{self.device_id}: period_s must be > 0")
-        if (self.compromise is not None
-                and self.compromise.probe_interval_ms < 0):
-            raise ValueError(f"{self.device_id}: interval_ms must be >= 0")
+        if self.compromise is not None:
+            if self.compromise.probe_interval_ms < 0:
+                raise ValueError(f"{self.device_id}: interval_ms must be >= 0")
+            for port in self.compromise.probe_ports:
+                if not 1 <= port <= 65535:
+                    raise ValueError(
+                        f"{self.device_id}: probe port {port} out of range")
         if self.false_alarm is not None:
             if self.false_alarm.packets < 0:
                 raise ValueError(f"{self.device_id}: packets must be >= 0")

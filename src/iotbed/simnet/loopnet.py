@@ -1,13 +1,14 @@
 """Loopback transport backend: real TCP sockets on 127.0.0.1.
 
 LoopbackNetwork is a MemoryNetwork in wall time over TCP: each open virtual
-port listens on a loopback port, and one I/O thread serves every port and
-connection with a selector loop (the Reactor pattern).  A request and its
-reply each travel as one length-prefixed frame; an empty frame stands for
-no reply (the engine's replies are never empty), so an unanswered request
-returns at once.  Timing is NOT deterministic; the memory backend is the
-one with reproducibility guarantees.  One re-entrant lock,
-LoopbackNetwork.lock, guards the devices, proxies, tap and selector changes.
+port listens on a loopback port.  One I/O thread runs one selector loop (the
+Reactor pattern): it fires the WallClock's due callbacks and serves every
+port and connection.  A request and its reply each travel as one
+length-prefixed frame; an empty frame stands for no reply (the engine's
+replies are never empty), so an unanswered request returns at once.  Timing
+is NOT deterministic; the memory backend is the one with reproducibility
+guarantees.  One re-entrant lock, LoopbackNetwork.lock, guards the devices,
+proxies, tap, clock queue and selector changes.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ class LoopbackNetwork(MemoryNetwork):
     def __init__(self, seed: int = 0):
         super().__init__(seed)
         self.lock = threading.RLock()
-        self.clock = WallClock(self.lock)
         self._listeners: dict[tuple[str, int], socket.socket] = {}
         self._selector = DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
         self._selector.register(self._wake_r, EVENT_READ)
+        self.clock = WallClock(self.lock, self._wake)
         self._io = threading.Thread(target=self._serve, daemon=True)
         self._io.start()
 
@@ -79,19 +81,28 @@ class LoopbackNetwork(MemoryNetwork):
                 self._listeners[spec.device_id, vport] = listener
                 self._selector.register(listener, EVENT_READ, partial(
                     self._accept, self.actors[spec.device_id], vport))
-        self._wake_w.send(b"\0")    # a select() under way misses new sockets
+        self._wake()                # a select() under way misses new sockets
         return handle
 
     def shutdown(self) -> None:
-        self.clock.shutdown()
+        """Stops the I/O loop; callbacks still queued then never fire."""
         self._wake_w.close()
         self._io.join()
 
+    def _wake(self) -> None:
+        """Ends a select() under way.  A full buffer will end it anyway, and
+        a closed _wake_w means the loop is gone, so OSError is ignored."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass
+
     def _serve(self) -> None:
-        """Runs ready sockets' callbacks until shutdown() closes _wake_w."""
+        """Fires due timers and serves sockets until _wake_w is closed."""
         try:
             while True:
-                for key, _ in self._selector.select():
+                timeout = self.clock.fire_due()
+                for key, _ in self._selector.select(timeout):
                     if key.fileobj is not self._wake_r:
                         key.data(key.fileobj)
                     elif not self._wake_r.recv(4096):

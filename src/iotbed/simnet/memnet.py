@@ -6,11 +6,11 @@ sessions, periodic status samples, context-triggered attack bursts and
 false-alarm bursts are all events on the network's clock.  The actor
 reaches time only through clock.now() and clock.schedule(delay, cb), so
 the same actor runs here on a VirtualClock and on the loopback backend's
-WallClock.  The client operations (connect, scan_ports, advance_context,
-MemConnection.request) are written once, here, and reach the transport
-only through _transit, _dial and _exchange; LoopbackNetwork replaces the
-clock and those three hooks, so the backends differ only in clock and
-transport, and record and proxy every frame alike.
+WallClock, which its I/O loop fires.  The client operations (connect,
+scan_ports, advance_context, MemConnection.request) are written once,
+here, and reach the transport only through _transit, _dial and _exchange;
+LoopbackNetwork replaces the clock and those three hooks, so the backends
+differ only in clock and transport, and record and proxy every frame alike.
 
 Here a fixed seed and a fixed context script reproduce byte-identical
 captures: each leg of a client operation advances the clock by its
@@ -310,10 +310,6 @@ class DeviceHandle:
     def alive(self) -> bool:
         return self._actor.state.alive
 
-    @property
-    def burst_windows(self) -> list[BurstWindow]:
-        return list(self._actor.burst_windows)
-
     def local_process_list(self) -> str | None:
         return self._actor.engine.local_process_list()
 
@@ -436,7 +432,7 @@ class MemoryNetwork:
         self._actor(device_id).state.alive = False
 
     def shutdown(self) -> None:
-        """Release the backend's threads and sockets; memory holds none."""
+        """Release the backend's thread and sockets; memory holds none."""
 
     # -- time ------------------------------------------------------------
     def now(self) -> float:

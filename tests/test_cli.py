@@ -53,6 +53,9 @@ BAD_CRITERIA = {
               "ports: bad port list 'abc'"),
     "port_range": (None, "port_risk, TEST, {target=cam1, ports=0-70000}",
                    "ports: bad port list '0-70000'"),
+    # a reversed range would scan nothing and grade the device SAFE
+    "reversed_range": (None, "port_risk, TEST, {target=cam1, ports=100-1}",
+                       "ports: bad port list '100-1'"),
     "management_ports": (
         None, "management_access, TEST, {target=cam1, management_ports=x}",
         "management_ports: bad port list 'x'"),
@@ -526,7 +529,7 @@ def test_bad_config_value_names_path_and_line(tmp_path, capsys):
     assert f"error: {config}:3: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ports", ["x", "70000"])
+@pytest.mark.parametrize("ports", ["x", "70000", "100-1"])
 def test_scan_bad_ports_is_a_usage_error(run_layout, ports):
     with pytest.raises(SystemExit) as exc:
         main(["scan", str(run_layout / "cam.dev"), "--ports", ports])

@@ -246,6 +246,9 @@ def test_port_risk_range_restriction():
     v = run_plugin("port_risk", net, criteria={"ports": "1-100"})
     assert "open ports [80]" in v.detail
     assert "total score 3" in v.detail
+    # a range of one port is not a reversed range
+    one = run_plugin("port_risk", net, criteria={"ports": "80-80"})
+    assert "open ports [80]" in one.detail
 
 
 def test_port_risk_no_ports_is_safe():

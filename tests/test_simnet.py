@@ -91,8 +91,10 @@ def test_zero_session_rate_means_silent_device():
     ("compromise: lat=0 lon=0 radius_m=10 interval_ms=-50", "interval_ms"),
     ("false_alarm: at_s=10 gap_ms=-50", "gap_ms"),
     ("false_alarm: at_s=10 packets=-4", "packets"),
+    ("compromise: lat=0 lon=0 radius_m=10 ports=22,70000,0",
+     "probe port 70000"),
 ], ids=["session_rate", "zero_period", "negative_period", "interval_ms",
-        "gap_ms", "packets"])
+        "gap_ms", "packets", "probe_ports"])
 def test_negative_session_rate_rejected(tmp_path, line, name):
     # a contradiction found once the block is complete is reported at the
     # device's own line
@@ -723,9 +725,8 @@ def test_context_trigger_fires_probe_burst():
     inside = [ContextEvent(t=60.0, lat=32.0853, lon=34.7818, day=Day.MONDAY)]
     net.advance_context(inside)
     net.observe(5)  # let every scheduled probe fire
-    bursts = net.burst_log()
-    assert len(bursts) == 1
-    window = net.handle("cam1").burst_windows[0]
+    window, = net.burst_log()
+    assert window.device_id == "cam1"
     probes = net.tap.between(window.t_start, window.t_end + 0.1)
     lateral = [r for r in probes if r.src_addr == "cam1"
                and r.dst_addr in {"hub1", "srv1", "srv2"}]
@@ -829,7 +830,27 @@ def test_loopback_runs_the_same_threads_for_any_fleet(camera_spec):
         finally:
             net.shutdown()
         rises.append(spawned - before)
-    assert rises[0] == rises[1]
+    assert rises == [1, 1]
+
+
+@pytest.mark.parametrize("head_s", [None, 10.0], ids=["idle", "later_head"])
+def test_loopback_fires_a_new_timer_without_waiting_for_the_old_head(
+        head_s):
+    # The I/O loop sleeps in select() until the queue head is due; a timer
+    # scheduled from another thread must wake it, or it would fire only
+    # with the old head, or never on an empty queue.
+    net = LoopbackNetwork(seed=5)
+    fired = threading.Event()
+    try:
+        if head_s is not None:
+            net.clock.schedule(head_s, lambda: None)
+        time.sleep(0.05)        # let the loop fall asleep
+        began = time.monotonic()
+        net.clock.schedule(0.05, fired.set)
+        assert fired.wait(timeout=1.0)
+        assert time.monotonic() - began >= 0.05
+    finally:
+        net.shutdown()
 
 
 # Both backends run one device model, so everything that does not depend on
