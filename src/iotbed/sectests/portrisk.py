@@ -53,7 +53,8 @@ def load_score_list(path: str) -> dict[int, PortScoreEntry]:
 def parse_ports(value) -> list[int] | range:
     """Ports to scan from a "lo-hi" range or a comma list; None is all.
 
-    ValueError for a reversed range or a port outside 1-65535 (range ends).
+    ValueError for a reversed range, a list of no port or a port outside
+    1-65535 (range ends).
     """
     if value is None:
         return range(1, 65536)
@@ -70,6 +71,8 @@ def parse_ports(value) -> list[int] | range:
             raise ValueError(f"a reversed range {value!r}")
     else:
         ports = ends = [int(p) for p in text.split(",") if p]
+        if not ports:
+            raise ValueError(f"no port in {value!r}")
     if not all(1 <= port <= 65535 for port in ends):
         raise ValueError(f"a port outside 1-65535 in {value!r}")
     return ports

@@ -4,16 +4,14 @@ VirtualClock drives the in-memory backend: every scheduled callback fires
 at an exact virtual instant, ties broken by scheduling order, so a run is
 reproducible to the timestamp.  now() never goes backwards.
 
-WallClock drives the loopback backend: the same queue in real time,
-drained by the loopback I/O loop through fire_due(), which returns how
-long that loop may sleep; advance(seconds) waits that long.
+WallClock drives the loopback backend: the same queue in real time, fired
+only while the caller's thread serves the loopback selector loop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
 from typing import Callable
 
@@ -52,17 +50,12 @@ class VirtualClock:
 
 
 class WallClock:
-    """The same queue in wall time, drained by the loop that calls fire_due().
-
-    Each callback runs while holding `lock`, the lock that guards the
-    state the callbacks share with other threads.  schedule() calls
-    `wake`, so that a loop asleep until the old queue head recomputes
-    its timeout.
+    """The same queue in wall time.  serve(timeout) runs one round of the
+    loop that fires it: fire_due(), then a wait of at most timeout for I/O.
     """
 
-    def __init__(self, lock: threading.RLock, wake: Callable[[], None]):
-        self._lock = lock
-        self._wake = wake
+    def __init__(self, serve: Callable[[float], object]):
+        self._serve = serve
         self._t0 = time.monotonic()
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
@@ -74,22 +67,23 @@ class WallClock:
         """Run callback delay seconds from now (delay >= 0)."""
         if delay < 0:
             raise ValueError("negative delay")
-        with self._lock:
-            heapq.heappush(self._queue,
-                           (self.now() + delay, next(self._counter), callback))
-        self._wake()
+        heapq.heappush(self._queue,
+                       (self.now() + delay, next(self._counter), callback))
 
     def advance(self, seconds: float) -> None:
-        """Wait seconds of wall time while the loop fires callbacks."""
-        time.sleep(seconds)
+        """Serve the loop for seconds of wall time, firing callbacks as
+        they fall due."""
+        deadline = self.now() + seconds
+        while (left := deadline - self.now()) > 0:
+            self._serve(left)
+        self.fire_due()
 
     def fire_due(self) -> float | None:
         """Run every callback that is due; the seconds until the next one,
         or None when none is queued."""
-        with self._lock:
-            while self._queue:
-                wait = self._queue[0][0] - self.now()
-                if wait > 0:
-                    return wait
-                heapq.heappop(self._queue)[2]()
-            return None
+        while self._queue:
+            wait = self._queue[0][0] - self.now()
+            if wait > 0:
+                return wait
+            heapq.heappop(self._queue)[2]()
+        return None

@@ -177,13 +177,16 @@ class DeviceSpec:
                     f"{self.device_id}: port {port.number} out of range")
 
 
-def _split_kv(tokens: list[str],
+def _split_kv(tokens: list[str], keys: str,
               positional: int = 0) -> tuple[list[str], dict[str, str]]:
+    """The positional fields and key=value pairs of a line taking `keys`."""
     pos: list[str] = []
     kv: dict[str, str] = {}
     for token in tokens:
         if "=" in token:
             key, _, val = token.partition("=")
+            if key not in keys.split():
+                raise ValueError(f"unknown key {key!r}")
             kv[key] = val
         elif len(pos) < positional:
             pos.append(token)
@@ -225,11 +228,12 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
         for key, body in directives(source):
             tokens = shlex.split(body)
             if key == "device":
-                pos, kv = _split_kv(tokens, positional=1)
+                pos, kv = _split_kv(tokens, "type connectivity", positional=1)
                 if pos[0] in lines:
                     raise ValueError(f"duplicate device {pos[0]!r}")
                 dev = DeviceSpec(device_id=pos[0])
                 dev.device_type = kv.get("type", dev.device_type)
+                dev.connectivity = kv.get("connectivity", dev.connectivity)
                 devices.append(dev)
                 lines[dev.device_id] = source.line
             elif key == "address":
@@ -237,7 +241,9 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
             elif key == "connectivity":
                 need().connectivity = _value(tokens)
             elif key == "port":
-                pos, kv = _split_kv(tokens, positional=1)
+                pos, kv = _split_kv(tokens, "service banner default_creds "
+                                    "crash_on_malformed freshness vulnerable_to",
+                                    positional=1)
                 port = PortSpec(number=int(pos[0]))
                 port.service = kv.get("service", port.service)
                 port.banner = kv.get("banner", port.banner)
@@ -253,7 +259,7 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     raise ValueError(f"duplicate port {port.number}")
                 d.ports[port.number] = port
             elif key in ("os", "app"):
-                pos, kv = _split_kv(tokens, positional=2)
+                pos, kv = _split_kv(tokens, "up_to_date risk", positional=2)
                 sw = SoftwareSpec(name=pos[0], version=pos[1])
                 if "up_to_date" in kv:
                     sw.up_to_date = _parse_bool(kv["up_to_date"])
@@ -263,26 +269,25 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                 else:
                     need().apps.append(sw)
             elif key == "traffic":
-                _, kv = _split_kv(tokens)
+                _, kv = _split_kv(tokens, "size_mean size_stddev gap_ms "
+                                  "gap_stddev_ms session_rate ttl")
                 t = TrafficSpec()
-                for name in ("size_mean", "size_stddev", "gap_ms",
-                             "gap_stddev_ms", "session_rate"):
-                    if name in kv:
-                        setattr(t, name, finite(kv[name]))
-                if "ttl" in kv:
-                    t.ttl = integer(kv["ttl"])
+                for name, val in kv.items():
+                    parse = integer if name == "ttl" else finite
+                    setattr(t, name, parse(val))
                 need().traffic = t
             elif key == "timing_range":
-                _, kv = _split_kv(tokens)
+                _, kv = _split_kv(tokens, "min_ms max_ms")
                 need().timing_min_ms = finite(kv["min_ms"])
                 need().timing_max_ms = finite(kv["max_ms"])
             elif key == "robustness":
-                _, kv = _split_kv(tokens)
+                _, kv = _split_kv(tokens, "ignores_malformed")
                 if "ignores_malformed" in kv:
                     need().ignores_malformed = \
                         _parse_bool(kv["ignores_malformed"])
             elif key == "encryption":
-                _, kv = _split_kv(tokens)
+                _, kv = _split_kv(tokens, "payload accepts_downgrade "
+                                  "replay_protected")
                 d = need()
                 if "payload" in kv:
                     if kv["payload"] not in ("encrypted", "plaintext"):
@@ -303,14 +308,14 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     raise ValueError(f"bad data class {cls!r}")
                 need().stored_data_class = cls
             elif key == "monitor":
-                _, kv = _split_kv(tokens)
+                _, kv = _split_kv(tokens, "period_s cpu_base cpu_noise "
+                                  "cpu_spike mem_base mem_noise mem_spike")
                 m = need().monitor
-                for name in ("period_s", "cpu_base", "cpu_noise", "cpu_spike",
-                             "mem_base", "mem_noise", "mem_spike"):
-                    if name in kv:
-                        setattr(m, name, finite(kv[name]))
+                for name, val in kv.items():
+                    setattr(m, name, finite(val))
             elif key == "compromise":
-                _, kv = _split_kv(tokens)
+                _, kv = _split_kv(tokens, "lat lon radius_m window ports "
+                                  "interval_ms targets")
                 window_start = window_end = None
                 if "window" in kv:
                     lo, _, hi = kv["window"].partition("-")
@@ -330,7 +335,7 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     targets=_str_list(kv.get("targets", "")),
                 )
             elif key == "false_alarm":
-                _, kv = _split_kv(tokens)
+                _, kv = _split_kv(tokens, "at_s packets gap_ms")
                 need().false_alarm = FalseAlarmSpec(
                     at_s=finite(kv["at_s"]),
                     packets=int(kv.get("packets", "40")),

@@ -1,21 +1,22 @@
 """Loopback transport backend: real TCP sockets on 127.0.0.1.
 
 LoopbackNetwork is a MemoryNetwork in wall time over TCP: each open virtual
-port listens on a loopback port.  One I/O thread runs one selector loop (the
-Reactor pattern): it fires the WallClock's due callbacks and serves every
-port and connection.  A request and its reply each travel as one
-length-prefixed frame; an empty frame stands for no reply (the engine's
-replies are never empty), so an unanswered request returns at once.  Timing
-is NOT deterministic; the memory backend is the one with reproducibility
-guarantees.  One re-entrant lock, LoopbackNetwork.lock, guards the devices,
-proxies, tap, clock queue and selector changes.
+port listens on a loopback port.  One selector loop (the Reactor pattern)
+fires the WallClock's due callbacks and serves every socket, on the
+caller's thread: wherever the memory backend advances its virtual clock
+(observe, a proxy delay, the wait for a reply) this one serves the loop,
+so it needs no thread and no lock, and takes client calls from one thread
+at a time.  A request and its reply each travel as one length-prefixed
+frame; an empty frame stands for no reply (the engine's replies are never
+empty), so an unanswered request returns at once.  Timing is NOT
+deterministic; the memory backend has the reproducibility guarantees.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-import threading
+import time
 from functools import partial
 from selectors import EVENT_READ, DefaultSelector
 
@@ -57,60 +58,51 @@ class LoopbackNetwork(MemoryNetwork):
 
     def __init__(self, seed: int = 0):
         super().__init__(seed)
-        self.lock = threading.RLock()
         self._listeners: dict[tuple[str, int], socket.socket] = {}
         self._selector = DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_w.setblocking(False)
-        self._selector.register(self._wake_r, EVENT_READ)
-        self.clock = WallClock(self.lock, self._wake)
-        self._io = threading.Thread(target=self._serve, daemon=True)
-        self._io.start()
-
-    def emit(self, *args, **kwargs) -> None:
-        # re-entrant: clock callbacks already hold the lock when they emit
-        with self.lock:
-            super().emit(*args, **kwargs)
+        self.clock = WallClock(self._serve)
 
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
-        with self.lock:
-            handle = super().spawn_device(spec, dut)
-            for vport in spec.ports:
-                listener = socket.create_server(("127.0.0.1", 0))
-                listener.setblocking(False)
-                self._listeners[spec.device_id, vport] = listener
-                self._selector.register(listener, EVENT_READ, partial(
-                    self._accept, self.actors[spec.device_id], vport))
-        self._wake()                # a select() under way misses new sockets
+        handle = super().spawn_device(spec, dut)
+        for vport in spec.ports:
+            listener = socket.create_server(("127.0.0.1", 0))
+            listener.setblocking(False)
+            self._listeners[spec.device_id, vport] = listener
+            self._selector.register(listener, EVENT_READ, partial(
+                self._accept, self.actors[spec.device_id], vport))
         return handle
 
     def shutdown(self) -> None:
-        """Stops the I/O loop; callbacks still queued then never fire."""
-        self._wake_w.close()
-        self._io.join()
+        """Closes every socket; callbacks still queued then never fire."""
+        for key in self._selector.get_map().values():
+            key.fileobj.close()
+        self._selector.close()
 
-    def _wake(self) -> None:
-        """Ends a select() under way.  A full buffer will end it anyway, and
-        a closed _wake_w means the loop is gone, so OSError is ignored."""
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            pass
+    def _serve(self, timeout: float, until: object = None) -> bool:
+        """One round of the loop: fires the due timers, waits at most
+        timeout (or until the next timer) and serves the ready sockets.
+        True as soon as `until` is readable."""
+        wait = self.clock.fire_due()
+        if wait is not None:
+            timeout = min(wait, timeout)
+        for key, _ in self._selector.select(timeout):
+            if key.fileobj is until:
+                return True
+            key.data(key.fileobj)
+        return False
 
-    def _serve(self) -> None:
-        """Fires due timers and serves sockets until _wake_w is closed."""
+    def _reply(self, sock: socket.socket) -> bytes | None:
+        """Serves the loop until sock is readable, for at most
+        REQUEST_TIMEOUT_S; the frame then read from sock, or None."""
+        deadline = time.monotonic() + REQUEST_TIMEOUT_S
+        self._selector.register(sock, EVENT_READ)
         try:
-            while True:
-                timeout = self.clock.fire_due()
-                for key, _ in self._selector.select(timeout):
-                    if key.fileobj is not self._wake_r:
-                        key.data(key.fileobj)
-                    elif not self._wake_r.recv(4096):
-                        return
+            while not self._serve(deadline - time.monotonic(), sock):
+                if time.monotonic() >= deadline:
+                    return None
         finally:
-            for key in self._selector.get_map().values():
-                key.fileobj.close()
-            self._selector.close()
+            self._selector.unregister(sock)
+        return _recv_frame(sock)
 
     def _accept(self, actor: _DeviceActor, vport: int,
                 listener: socket.socket) -> None:
@@ -119,9 +111,8 @@ class LoopbackNetwork(MemoryNetwork):
         except OSError:             # the client went away before the accept
             return
         conn.settimeout(REQUEST_TIMEOUT_S)  # bounds a send; recv runs on data
-        with self.lock:
-            self._selector.register(conn, EVENT_READ, partial(
-                self._read, actor, vport, bytearray()))
+        self._selector.register(conn, EVENT_READ, partial(
+            self._read, actor, vport, bytearray()))
 
     def _read(self, actor: _DeviceActor, vport: int, buf: bytearray,
               conn: socket.socket) -> None:
@@ -140,15 +131,13 @@ class LoopbackNetwork(MemoryNetwork):
                     return
                 data = bytes(buf[FRAME_HEAD.size:end])
                 del buf[:end]
-                with self.lock:
-                    reply = actor.engine.handle(vport, data)
+                reply = actor.engine.handle(vport, data)
                 if not actor.state.alive:
                     break
                 _send_frame(conn, reply or b"")
         except OSError:             # reset by the client, or a stuck send
             pass
-        with self.lock:
-            self._selector.unregister(conn)
+        self._selector.unregister(conn)
         conn.close()
 
     def _transit(self, seconds: float, delay_s: float = 0.0) -> None:
@@ -165,7 +154,7 @@ class LoopbackNetwork(MemoryNetwork):
         try:
             sock.connect(listener.getsockname())
             _send_frame(sock, b"BANNER")
-            banner = _recv_frame(sock)
+            banner = self._reply(sock)
         except OSError:
             banner = None
         if not banner:
@@ -176,6 +165,6 @@ class LoopbackNetwork(MemoryNetwork):
     def _exchange(self, conn: MemConnection, data: bytes) -> bytes | None:
         try:
             _send_frame(conn.channel, data)
-            return _recv_frame(conn.channel) or None
+            return self._reply(conn.channel) or None
         except OSError:
             return None

@@ -6,11 +6,12 @@ sessions, periodic status samples, context-triggered attack bursts and
 false-alarm bursts are all events on the network's clock.  The actor
 reaches time only through clock.now() and clock.schedule(delay, cb), so
 the same actor runs here on a VirtualClock and on the loopback backend's
-WallClock, which its I/O loop fires.  The client operations (connect,
-scan_ports, advance_context, MemConnection.request) are written once,
-here, and reach the transport only through _transit, _dial and _exchange;
-LoopbackNetwork replaces the clock and those three hooks, so the backends
-differ only in clock and transport, and record and proxy every frame alike.
+WallClock, fired on the caller's thread while it waits.  The client
+operations (connect, scan_ports, advance_context, MemConnection.request)
+are written once, here, and reach the transport only through _transit,
+_dial and _exchange; LoopbackNetwork replaces the clock and those three
+hooks, so the backends differ only in clock and transport, and record and
+proxy every frame alike.
 
 Here a fixed seed and a fixed context script reproduce byte-identical
 captures: each leg of a client operation advances the clock by its
@@ -26,7 +27,6 @@ Ephemeral source ports wrap back to the start of their range after 65535.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -338,8 +338,7 @@ class MemConnection:
         net = self.net
         proxy = net.proxy_for(self.dst)
         if proxy is not None:
-            with net.lock:
-                data = _mutate(proxy.request_path, proxy.mutator, data)
+            data = _mutate(proxy.request_path, proxy.mutator, data)
             if data is None:
                 net._transit(RTT_S)
                 return None
@@ -348,8 +347,7 @@ class MemConnection:
         net._transit(RTT_S / 2)
         reply = net._exchange(self, data)
         if reply is not None and proxy is not None:
-            with net.lock:
-                reply = _mutate(proxy.response_path, proxy.mutator, reply)
+            reply = _mutate(proxy.response_path, proxy.mutator, reply)
         if reply is None:
             net._transit(RTT_S / 2)
             return None
@@ -377,8 +375,6 @@ class CaptureHandle:
 class MemoryNetwork:
     """The default backend: fleet, tap, captures, proxies and the client
     operations on a VirtualClock; see the module docstring."""
-
-    lock = contextlib.nullcontext()     # one thread: nothing to guard
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -432,7 +428,7 @@ class MemoryNetwork:
         self._actor(device_id).state.alive = False
 
     def shutdown(self) -> None:
-        """Release the backend's thread and sockets; memory holds none."""
+        """Release the backend's sockets; memory holds none."""
 
     # -- time ------------------------------------------------------------
     def now(self) -> float:
@@ -452,8 +448,7 @@ class MemoryNetwork:
             raise TransportError("context event in the past")
         for event in events:
             self.clock.advance(max(0.0, event.t - self.clock.now()))
-            with self.lock:
-                self.feed.publish(event)
+            self.feed.publish(event)
 
     # -- proxy -----------------------------------------------------------
     def proxy(self, device_id: str, mutator: ProxyMutator) -> None:

@@ -56,6 +56,9 @@ BAD_CRITERIA = {
     # a reversed range would scan nothing and grade the device SAFE
     "reversed_range": (None, "port_risk, TEST, {target=cam1, ports=100-1}",
                        "ports: bad port list '100-1'"),
+    # so would a list of no port
+    "empty_list": (None, "port_risk, TEST, {target=cam1, ports=}",
+                   "ports: bad port list ''"),
     "management_ports": (
         None, "management_access, TEST, {target=cam1, management_ports=x}",
         "management_ports: bad port list 'x'"),
@@ -184,7 +187,7 @@ BAD_SCENARIOS = {
 @pytest.mark.parametrize("case", sorted(BAD_SCENARIOS))
 def test_run_rejects_a_bad_scenario_at_its_line(tmp_path, capsys, case):
     # checked before any network exists: no run directory is made and no
-    # loopback thread is left behind
+    # thread is left behind
     options, action, named, line, message = BAD_SCENARIOS[case]
     (tmp_path / "cam.dev").write_text(CAMERA_TEXT)
     (tmp_path / "clock.dev").write_text(CAMERA_TEXT.replace("cam1", "CLOCK"))
@@ -529,7 +532,7 @@ def test_bad_config_value_names_path_and_line(tmp_path, capsys):
     assert f"error: {config}:3: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ports", ["x", "70000", "100-1"])
+@pytest.mark.parametrize("ports", ["x", "70000", "100-1", ","])
 def test_scan_bad_ports_is_a_usage_error(run_layout, ports):
     with pytest.raises(SystemExit) as exc:
         main(["scan", str(run_layout / "cam.dev"), "--ports", ports])

@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import math
 import random
-import sys
 import threading
 import time
 
@@ -26,7 +25,7 @@ from iotbed.simnet.context import (
 )
 from iotbed.simnet.devspec import DeviceSpec, load_device_spec
 from iotbed.simnet.loopnet import (FRAME_HEAD, REQUEST_TIMEOUT_S,
-                                  LoopbackNetwork, _recv_frame)
+                                  LoopbackNetwork)
 from iotbed.simnet.memnet import MemoryNetwork, ProxyMutator
 from iotbed.simnet.payload import (
     _WORDS,
@@ -120,6 +119,35 @@ def test_bad_property_values_rejected(tmp_path):
         load_text(load_device_spec,
                   "device: d type=server\n\naddress:   # none given\n",
                   tmp_path)
+
+
+@pytest.mark.parametrize("line", [
+    "device: e type=server conectivity=zigbee",
+    "port: 80 servce=http",
+    "os: linux 5.4 up_to_dat=no",
+    "app: nginx 1.18 rsk=high",
+    "traffic: sesion_rate=9",
+    "timing_range: min_ms=1 max_ms=2 mx_ms=3",
+    "robustness: ignores_malformd=yes",
+    "encryption: paylod=plaintext",
+    "monitor: perod_s=2",
+    "compromise: lat=0 lon=0 radius_m=10 interval=20",
+    "false_alarm: at_s=10 packts=4",
+], ids=lambda line: line.partition(":")[0])
+def test_unknown_key_rejected_at_its_line(tmp_path, line):
+    # a misspelt key must not leave its field at the default unnoticed
+    key = line.split()[-1].partition("=")[0]
+    with pytest.raises(AnalysisError,
+                       match=input_at(tmp_path, 2) + f"unknown key '{key}'"):
+        load_text(load_device_spec,
+                  f"device: d type=server connectivity=ethernet\n{line}\n",
+                  tmp_path)
+
+
+def test_device_line_sets_connectivity():
+    spec, = load_text(load_device_spec,
+                      "device: d type=server connectivity=zigbee\n")
+    assert spec.connectivity == "zigbee"
 
 
 def test_duplicate_port_rejected(tmp_path):
@@ -768,9 +796,8 @@ def test_loopback_emit_takes_fields_positionally(camera_spec):
     try:
         net.spawn_device(camera_spec, dut=True)
         net.emit("tester", 40001, "cam1", 23, 64, kind="probe", payload=b"")
-        with net.lock:
-            record, = [r for r in net.tap.records if r.src_addr == "tester"]
-            assert net.emitted == len(net.tap)
+        record, = [r for r in net.tap.records if r.src_addr == "tester"]
+        assert net.emitted == len(net.tap)
         assert (record.src_port, record.dst_addr, record.dst_port,
                 record.ttl, record.kind, record.direction, record.size) == (
             40001, "cam1", 23, 64, "probe", "to_dut", 0)
@@ -792,14 +819,17 @@ def test_loopback_server_cuts_frames_and_bounds_their_length(camera_spec):
         net.spawn_device(camera_spec, dut=True)
         banner = b"BusyBox v1.19 telnetd"
         conn = net.connect("tester", "cam1", 23)
-        # one request frame in three pieces, the first cutting the header
+        # one request frame in three pieces, the first cutting the header;
+        # the server reads only while the loop runs, so the test runs it
         frame = FRAME_HEAD.pack(len(b"BANNER")) + b"BANNER"
-        for piece in (frame[:2], frame[2:7], frame[7:]):
+        for piece in (frame[:2], frame[2:7]):
             conn.channel.sendall(piece)
-            time.sleep(0.01)
-        assert _recv_frame(conn.channel) == banner
+            net.observe(0.01)
+        conn.channel.sendall(frame[7:])
+        assert net._reply(conn.channel) == banner
         # a header declaring more than 1 MiB closes that connection only
         conn.channel.sendall(FRAME_HEAD.pack((1 << 20) + 1))
+        assert net._reply(conn.channel) is None
         assert conn.channel.recv(1) == b""
         conn.close()
         again = net.connect("tester", "cam1", 23)
@@ -830,25 +860,26 @@ def test_loopback_runs_the_same_threads_for_any_fleet(camera_spec):
         finally:
             net.shutdown()
         rises.append(spawned - before)
-    assert rises == [1, 1]
+    assert rises == [0, 0]
 
 
 @pytest.mark.parametrize("head_s", [None, 10.0], ids=["idle", "later_head"])
 def test_loopback_fires_a_new_timer_without_waiting_for_the_old_head(
         head_s):
-    # The I/O loop sleeps in select() until the queue head is due; a timer
-    # scheduled from another thread must wake it, or it would fire only
-    # with the old head, or never on an empty queue.
+    # observe() serves the loop in rounds that wait at most until the
+    # queue head; a timer ahead of that head, or on an empty queue, must
+    # still fire once and on time.
     net = LoopbackNetwork(seed=5)
-    fired = threading.Event()
+    fired = []
     try:
         if head_s is not None:
             net.clock.schedule(head_s, lambda: None)
-        time.sleep(0.05)        # let the loop fall asleep
-        began = time.monotonic()
-        net.clock.schedule(0.05, fired.set)
-        assert fired.wait(timeout=1.0)
-        assert time.monotonic() - began >= 0.05
+        began = net.now()
+        net.clock.schedule(0.05, lambda: fired.append(net.now()))
+        net.observe(0.2)
+        assert len(fired) == 1
+        assert 0.05 <= fired[0] - began < 0.2
+        assert net.now() - began < 1.0
     finally:
         net.shutdown()
 
@@ -1042,30 +1073,22 @@ monitor: period_s=0.01
 """
 
 
-def test_loopback_records_stay_consistent_under_concurrency():
-    # Clock callbacks, port handlers and several clients all emit at once;
-    # a lost update under the shared lock would repeat or skip a seq.
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def test_loopback_fires_due_timers_while_a_request_waits():
+    # The loop runs only while the caller waits; the wait for a reply is
+    # one such wait, and records emitted by timers fired in it and by the
+    # request itself share one seq counter.
     net = LoopbackNetwork(seed=5)
+    fired = []
     try:
         net.spawn_device(load_text(load_device_spec, BUSY_TEXT)[0])
-
-        def client():
-            conn = net.connect("tester", "busy1", 443)
-            for _ in range(20):
-                conn.request(b"CMD status")
-            conn.close()
-
-        clients = [threading.Thread(target=client) for _ in range(6)]
-        for t in clients:
-            t.start()
-        for t in clients:
-            t.join(timeout=10)
-        assert not any(t.is_alive() for t in clients)
+        conn = net.connect("tester", "busy1", 443)
+        net.clock.schedule(0, lambda: fired.append(True))
+        assert conn.request(b"CMD status")
+        assert fired == [True]
+        conn.close()
+        net.observe(0.05)
     finally:
         net.shutdown()
-        sys.setswitchinterval(old_interval)
     records = net.tap.records
     assert {r.kind for r in records} >= {"background", "response"}
     assert [r.seq for r in records] == list(range(1, len(records) + 1))
