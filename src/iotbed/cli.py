@@ -160,10 +160,9 @@ def cmd_run(args, config: CliConfig) -> int:
     report = run_scenario(scenario, _run_options(args, config))
     print(f"run complete: {report.run_id}")
     print(f"report: {os.path.join(report.run_dir, 'report.txt')}")
-    print(f"pass={report.overall['pass_count']} "
-          f"fail={report.overall['fail_count']} "
-          f"highest={report.overall['highest_risk']} "
-          f"errors={report.errors}")
+    fields = dict(report.fields)
+    print(f"pass={fields['overall.pass']} fail={fields['overall.fail']} "
+          f"highest={fields['overall.highest']} errors={report.errors}")
     return report.exit_code()
 
 

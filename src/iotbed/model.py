@@ -163,7 +163,6 @@ class ParamSchema:
 
     required: frozenset[str] = frozenset()
     optional: frozenset[str] = frozenset()
-    allow_extra: bool = False
 
     def __post_init__(self):
         # callers may hand in any iterable of names
@@ -174,10 +173,9 @@ class ParamSchema:
         missing = self.required - params.keys()
         if missing:
             raise ValidationError(f"missing required params: {sorted(missing)}")
-        if not self.allow_extra:
-            extra = params.keys() - self.required - self.optional
-            if extra:
-                raise ValidationError(f"unexpected params: {sorted(extra)}")
+        extra = params.keys() - self.required - self.optional
+        if extra:
+            raise ValidationError(f"unexpected params: {sorted(extra)}")
 
 
 @dataclass

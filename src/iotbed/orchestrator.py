@@ -16,9 +16,10 @@ the action reads them; a bad one errs that action.
 
 All artifacts of one run live in a per-run directory: the scenario copy,
 trace, captures, status series, window statistics, findings, and the
-report in machine (`report.rec`) and human (`report.txt`) form.  The human
-form is rendered purely from the machine form, so re-rendering a persisted
-run is byte-identical.
+report in machine (`report.rec`) and human (`report.txt`) form.  The report
+is built once, as `report.rec`'s (key, value) pairs (`RunReport.fields`,
+made by `_build_report` alone); the human form is rendered purely from
+those pairs, so re-rendering a persisted run is byte-identical.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def builtin_descriptors() -> list[ElementDescriptor]:
              Command.STOP: ParamSchema()},
             description="network capture tap"),
     ]
-    for kind in PLUGINS:
+    for kind, plugin in PLUGINS.items():
         sim.append(ElementDescriptor(
             kind, ElementKind.SECURITY_TEST,
             {Command.TEST: ParamSchema(required=("target",),
-                                       allow_extra=True)},
+                                       optional=plugin.params)},
             description=f"security test: {kind.replace('_', ' ')}"))
     return sim
 
@@ -130,29 +131,19 @@ class PhaseResult:
 @dataclass
 class RunReport:
     run_id: str
-    scenario_name: str
-    backend: str
-    seed: int
-    device_id: str
-    device_summary: dict
+    run_dir: str
+    fields: list[tuple[str, str]]   # report.rec's pairs, in file order
     phase1_results: list[PhaseResult]
     phase2_results: list[PhaseResult]
-    profiling: ProfileDistribution | None
-    profiling_note: str
     findings: list[AttackFinding]
-    portscans: list[dict]
-    overall: dict
-    trace_ref: str
-    generated_at: str
-    run_dir: str = ""
+    profiling: ProfileDistribution | None
     errors: int = 0            # actions that erred; not written to report.rec
 
     def verdicts(self) -> list[Verdict]:
         return [r.verdict for r in self.phase1_results + self.phase2_results]
 
     def exit_code(self) -> int:
-        top = self.overall["highest_risk"]
-        return ci_exit_code(None if top == "-" else Grade(top), self.errors)
+        return ci_exit_code(highest_risk(self.verdicts()), self.errors)
 
 
 @dataclass
@@ -224,6 +215,9 @@ class ScenarioRunner:
                 raise ValueError(f"{key}: criteria for unknown test {kind!r}")
             if not name:
                 raise ValueError(f"{key}: criteria option names no parameter")
+            if name not in PLUGINS[kind].params:
+                raise ValueError(f"{key}: {kind} takes no parameter "
+                                 f"{name!r}")
             if name in CONFIG_CRITERIA:
                 raise ValueError(f"{key}: {name} is read only from the "
                                  "config file")
@@ -382,7 +376,7 @@ class ScenarioRunner:
             return f"login reply: {text}", ()
         if action.command is Command.START:
             if not handle.alive:
-                raise TestbedError(f"{action.element} has crashed")
+                raise TestbedError(f"{action.element} is not running")
             return "already running", ()
         if action.command is Command.STOP:
             self.net.stop_device(action.element)
@@ -524,55 +518,71 @@ class ScenarioRunner:
     # -- report ----------------------------------------------------------
 
     def _build_report(self, findings, profiling, profiling_note) -> RunReport:
+        """The run's results and report.rec's (key, value) pairs, in file
+        order; the only place those pairs are made."""
         dut = next(d for d in self.device_specs
                    if d.device_id == self.dut_id)
-        verdicts = [r.verdict for r in
-                    self.phase_results[Phase.STANDARD]
-                    + self.phase_results[Phase.CONTEXT]]
-        top = highest_risk(verdicts) if verdicts else None
-        overall = {
-            "pass_count": sum(1 for v in verdicts
-                              if v.grade in CLEAN_GRADES),
-            "fail_count": sum(1 for v in verdicts
-                              if v.grade in FAILED_GRADES),
-            "highest_risk": top.value if top else "-",
-        }
-        portscans = []
-        for test_name, raw, criteria in self.raw_results:
-            if raw.kind != "port_risk":
-                continue
-            assessment = score_ports(raw.data["open_ports"],
-                                     criteria.get("score_list"))
-            portscans.append({
-                "test": test_name,
-                "open": assessment.open_ports,
-                "scored": assessment.scored,
-                "total": assessment.total_score,
-                "level": assessment.risk_level.value,
-            })
-        return RunReport(
-            run_id=self.run_id,
-            scenario_name=self.scenario.name,
-            backend=self.options.backend,
-            seed=self.options.seed,
-            device_id=self.dut_id,
-            device_summary={
-                "device_type": dut.device_type,
-                "connectivity": [dut.connectivity],
-                "protocols": dut.protocols(),
-            },
-            phase1_results=self.phase_results[Phase.STANDARD],
-            phase2_results=self.phase_results[Phase.CONTEXT],
-            profiling=profiling,
-            profiling_note=profiling_note,
-            findings=findings,
-            portscans=portscans,
-            overall=overall,
-            trace_ref="trace.jsonl",
-            generated_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-            run_dir=self.run_dir,
-            errors=self.errors,
-        )
+        phases = (self.phase_results[Phase.STANDARD],
+                  self.phase_results[Phase.CONTEXT])
+        f = [("run_id", self.run_id),
+             ("generated_at", time.strftime("%Y-%m-%dT%H:%M:%S")),
+             ("scenario", self.scenario.name),
+             ("backend", self.options.backend),
+             ("seed", str(self.options.seed)),
+             ("trace_ref", "trace.jsonl"),
+             ("device", self.dut_id),
+             ("device.type", dut.device_type),
+             ("device.connectivity", dut.connectivity),
+             ("device.protocols", ",".join(dut.protocols()))]
+        for phase_no, results in enumerate(phases, 1):
+            f.append((f"phase{phase_no}.count", str(len(results))))
+            for i, r in enumerate(results):
+                p = f"phase{phase_no}.{i}"
+                f += [(f"{p}.test", r.test_name), (f"{p}.kind", r.kind),
+                      (f"{p}.grade", r.verdict.grade.value),
+                      (f"{p}.detail", r.verdict.detail.replace("\n", "; "))]
+        if profiling is None:
+            f.append(("profiling.present", "no"))
+            if profiling_note:
+                f.append(("profiling.note", profiling_note))
+        else:
+            f.append(("profiling.present", "yes"))
+            f += [(f"profiling.{key}", value)
+                  for key, value in profile_pairs(profiling)[1:]]
+        f.append(("findings.count", str(len(findings))))
+        for i, finding in enumerate(findings):
+            p = f"finding.{i}"
+            loc = "-" if finding.location is None else \
+                f"{finding.location[0]:.5f},{finding.location[1]:.5f}"
+            f += [(f"{p}.classification", finding.classification),
+                  (f"{p}.corroboration", finding.corroboration),
+                  (f"{p}.time", f"{finding.virtual_time:.3f}"),
+                  (f"{p}.location", loc),
+                  (f"{p}.windows", ";".join(
+                      f"{a:.3f}:{b:.3f}" for a, b in finding.windows))]
+        scans = [(test_name, score_ports(raw.data["open_ports"],
+                                         criteria.get("score_list")))
+                 for test_name, raw, criteria in self.raw_results
+                 if raw.kind == "port_risk"]
+        f.append(("portscan.count", str(len(scans))))
+        for i, (test_name, scan) in enumerate(scans):
+            p = f"portscan.{i}"
+            f.append((f"{p}.test", test_name))
+            f.append((f"{p}.open", ",".join(map(str, scan.open_ports))))
+            f += [(f"{p}.entry.{entry.port}",
+                   f"{format_score(entry.score)}|{entry.description}")
+                  for entry in scan.scored]
+            f.append((f"{p}.total", format_score(scan.total_score)))
+            f.append((f"{p}.level", scan.risk_level.value))
+        verdicts = [r.verdict for r in phases[0] + phases[1]]
+        top = highest_risk(verdicts)
+        f += [("overall.pass",
+               str(sum(v.grade in CLEAN_GRADES for v in verdicts))),
+              ("overall.fail",
+               str(sum(v.grade in FAILED_GRADES for v in verdicts))),
+              ("overall.highest", top.value if top else "-")]
+        return RunReport(self.run_id, self.run_dir, f, *phases, findings,
+                         profiling, self.errors)
 
 
 def run_scenario(scenario: Scenario,
@@ -584,65 +594,6 @@ def run_scenario(scenario: Scenario,
 # report serialization: report.rec is the source of truth, report.txt is a
 # pure rendering of it
 # ---------------------------------------------------------------------------
-
-def report_fields(report: RunReport) -> list[tuple[str, str]]:
-    """The machine-readable report, one (key, value) per line, in order."""
-    f: list[tuple[str, str]] = [
-        ("run_id", report.run_id),
-        ("generated_at", report.generated_at),
-        ("scenario", report.scenario_name),
-        ("backend", report.backend),
-        ("seed", str(report.seed)),
-        ("trace_ref", report.trace_ref),
-        ("device", report.device_id),
-        ("device.type", report.device_summary["device_type"]),
-        ("device.connectivity",
-         ",".join(report.device_summary["connectivity"])),
-        ("device.protocols", ",".join(report.device_summary["protocols"])),
-    ]
-    for phase_no, results in (("1", report.phase1_results),
-                              ("2", report.phase2_results)):
-        f.append((f"phase{phase_no}.count", str(len(results))))
-        for i, r in enumerate(results):
-            detail = r.verdict.detail.replace("\n", "; ")
-            f.append((f"phase{phase_no}.{i}.test", r.test_name))
-            f.append((f"phase{phase_no}.{i}.kind", r.kind))
-            f.append((f"phase{phase_no}.{i}.grade", r.verdict.grade.value))
-            f.append((f"phase{phase_no}.{i}.detail", detail))
-    if report.profiling is None:
-        f.append(("profiling.present", "no"))
-        if report.profiling_note:
-            f.append(("profiling.note", report.profiling_note))
-    else:
-        f.append(("profiling.present", "yes"))
-        f += [(f"profiling.{key}", value)
-              for key, value in profile_pairs(report.profiling)[1:]]
-    f.append(("findings.count", str(len(report.findings))))
-    for i, finding in enumerate(report.findings):
-        p = f"finding.{i}"
-        f.append((f"{p}.classification", finding.classification))
-        f.append((f"{p}.corroboration", finding.corroboration))
-        f.append((f"{p}.time", f"{finding.virtual_time:.3f}"))
-        loc = "-" if finding.location is None else \
-            f"{finding.location[0]:.5f},{finding.location[1]:.5f}"
-        f.append((f"{p}.location", loc))
-        f.append((f"{p}.windows", ";".join(
-            f"{a:.3f}:{b:.3f}" for a, b in finding.windows)))
-    f.append(("portscan.count", str(len(report.portscans))))
-    for i, scan in enumerate(report.portscans):
-        p = f"portscan.{i}"
-        f.append((f"{p}.test", scan["test"]))
-        f.append((f"{p}.open", ",".join(str(n) for n in scan["open"])))
-        for entry in scan["scored"]:
-            f.append((f"{p}.entry.{entry.port}",
-                      f"{format_score(entry.score)}|{entry.description}"))
-        f.append((f"{p}.total", format_score(scan["total"])))
-        f.append((f"{p}.level", scan["level"]))
-    f.append(("overall.pass", str(report.overall["pass_count"])))
-    f.append(("overall.fail", str(report.overall["fail_count"])))
-    f.append(("overall.highest", report.overall["highest_risk"]))
-    return f
-
 
 def read_report_fields(path: str) -> list[tuple[str, str]]:
     """The (key, value) pairs of a k=v record file such as report.rec."""
@@ -728,10 +679,9 @@ def render_report(fields: list[tuple[str, str]]) -> str:
 
 
 def write_report(report: RunReport, run_dir: str) -> None:
-    fields = report_fields(report)
     with open(os.path.join(run_dir, "report.rec"), "w",
               encoding="utf-8") as fh:
-        fh.write(dumps(fields))
+        fh.write(dumps(report.fields))
     with open(os.path.join(run_dir, "report.txt"), "w",
               encoding="utf-8") as fh:
-        fh.write(render_report(fields))
+        fh.write(render_report(report.fields))

@@ -637,25 +637,34 @@ class Plugin:
     kind: str
     measure: Callable[[PluginContext], RawResult]
     judge: Callable[[RawResult, dict], Verdict]
+    params: tuple[str, ...] = ()    # the criteria names the two halves read
 
 
 PLUGINS: dict[str, Plugin] = {p.kind: p for p in (
-    Plugin("port_risk", measure_port_risk, judge_port_risk),
+    Plugin("port_risk", measure_port_risk, judge_port_risk,
+           ("ports", "score_list")),
     Plugin("scan_detectability", measure_scan_detectability,
-           judge_scan_detectability),
+           judge_scan_detectability,
+           ("observe_s", "common_ports", "management_ports",
+            "expected_ports")),
     Plugin("fingerprint", measure_fingerprint, judge_fingerprint),
     Plugin("process_enumeration", measure_process_enumeration,
            judge_process_enumeration),
-    Plugin("data_leakage", measure_data_leakage, judge_data_leakage),
+    Plugin("data_leakage", measure_data_leakage, judge_data_leakage,
+           ("observe_s", "entropy_threshold", "entropy_min_size")),
     Plugin("data_collection", measure_data_collection, judge_data_collection),
     Plugin("management_access", measure_management_access,
-           judge_management_access),
+           judge_management_access, ("management_ports", "credentials")),
     Plugin("downgrade_attack", measure_downgrade, judge_downgrade),
     Plugin("replay_attack", measure_replay, judge_replay),
-    Plugin("delay_attack", measure_delay, judge_delay),
-    Plugin("tamper_attack", measure_tamper, judge_tamper),
-    Plugin("known_vulnerabilities", measure_known_vulns, judge_known_vulns),
-    Plugin("vulnerability_probe", measure_vuln_probe, judge_vuln_probe),
+    Plugin("delay_attack", measure_delay, judge_delay,
+           ("delay_ms", "transactions", "latency_allowance_ms")),
+    Plugin("tamper_attack", measure_tamper, judge_tamper,
+           ("corrupt_rate", "transactions")),
+    Plugin("known_vulnerabilities", measure_known_vulns, judge_known_vulns,
+           ("vuln_db",)),
+    Plugin("vulnerability_probe", measure_vuln_probe, judge_vuln_probe,
+           ("attack_db",)),
 )}
 
 

@@ -15,8 +15,7 @@ from conftest import (FLEET_TEXT, CAMERA_TEXT, CONTEXT_SCENARIO_TEXT,
 from test_profiler import Row, oracle_best_gain, oracle_entropy, synth_capture
 from iotbed.model import Command, Phase
 from iotbed.orchestrator import (RunOptions, ScenarioRunner,
-                                 read_report_fields, render_report,
-                                 report_fields)
+                                 read_report_fields, render_report)
 from iotbed.profiler import (Leaf, Node, TrainParams, confusion_matrix,
                              extract_features, matrix_accuracy, profile_device,
                              train_model)
@@ -455,7 +454,7 @@ def test_criterion_07_orchestration_invariants_on_random_scenarios(tmp_path):
         rec = os.path.join(report.run_dir, "report.rec")
         with open(os.path.join(report.run_dir, "report.txt")) as fh:
             assert fh.read() == render_report(read_report_fields(rec))
-        assert read_report_fields(rec) == report_fields(report)
+        assert read_report_fields(rec) == report.fields
     assert time.monotonic() - t0 < 30.0
 
 

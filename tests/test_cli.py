@@ -148,6 +148,12 @@ BAD_SCENARIOS = {
     "option_set_twice": (
         [DEVICES, "k=x", "k=3"], CLOCK_SET, "scn.scn", 4,
         "option 'k' already set at line 3"),
+    "undeclared_criterion_in_an_option": (
+        [DEVICES, "criteria.delay_attack.delay_mss=500"], CLOCK_SET,
+        "scn.scn", 3, "delay_attack takes no parameter 'delay_mss'"),
+    "undeclared_criterion_in_an_action": (
+        [DEVICES], "USER, delay_attack, TEST, {target=cam1, delay_mss=500}",
+        "scn.scn", 4, "unexpected params: ['delay_mss']"),
     "config_criterion_in_an_option": (
         [DEVICES, "criteria.port_risk.score_list=x"], CLOCK_SET, "scn.scn",
         3, "score_list is read only from the config file"),

@@ -95,11 +95,6 @@ def test_param_schema_check_rejects_missing_and_unknown():
         schema.check({"target": "cam1", "bogus": 1})
 
 
-def test_param_schema_allow_extra():
-    schema = ParamSchema(required=frozenset({"target"}), allow_extra=True)
-    schema.check({"target": "cam1", "anything": "goes"})
-
-
 def test_element_descriptor_supports():
     d = ElementDescriptor(
         id="cam1", kind=ElementKind.DEVICE_UNDER_TEST,

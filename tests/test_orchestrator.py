@@ -16,7 +16,7 @@ from iotbed.model import Command, ElementKind, Phase
 from iotbed.orchestrator import (CLOCK, GPS_SIM, SNIFFER, RunOptions,
                                  ScenarioRunner, builtin_descriptors,
                                  device_descriptor, read_report_fields,
-                                 render_report, report_fields, run_scenario)
+                                 render_report, run_scenario)
 from iotbed.profiler import TrainParams, extract_features, save_model, train_model
 from iotbed.scenario import load_scenario
 from iotbed.sectests import PLUGINS
@@ -171,6 +171,29 @@ action: USER, cam1, TEST, {}
     assert report.exit_code() == 2
 
 
+def test_device_start_and_stop(tmp_path):
+    # START finds the device running; after STOP it is not, and nothing
+    # restarts it
+    text = """\
+scenario: s
+option: devices=cam.dev
+option: baseline_s=0
+
+test: cycle
+action: USER, cam1, START, {}
+action: USER, cam1, STOP, {}
+action: USER, cam1, TEST, {}
+action: USER, cam1, START, {}
+"""
+    report = run_dir_scenario(tmp_path, text).run()
+    entries = read_trace(os.path.join(report.run_dir, "trace.jsonl"))
+    assert [e.outcome for e in entries] == ["ok", "ok", "ok", "error"]
+    assert [e.message for e in entries[:2]] == ["already running", "stopped"]
+    verdict, = report.verdicts()
+    assert verdict.grade.value == "FAIL"
+    assert entries[3].message == "cam1 is not running"
+
+
 def test_bad_runtime_param_is_an_error_entry_not_a_crash(tmp_path):
     text = """\
 scenario: s
@@ -203,7 +226,7 @@ action: USER, 007, LOGIN, {user=admin, password=0123, port=23}
     entry, = read_trace(os.path.join(report.run_dir, "trace.jsonl"))
     assert entry.ok() and entry.message.startswith("login reply: OK"), \
         entry.message
-    assert report.device_id == "007"
+    assert dict(report.fields)["device"] == "007"
 
 
 SKIP_RULE_SCENARIO = """\
@@ -270,7 +293,7 @@ def test_report_rec_round_trips_and_text_is_pure_render(context_run):
     _, report = context_run
     rec = os.path.join(report.run_dir, "report.rec")
     fields = read_report_fields(rec)
-    assert fields == report_fields(report)
+    assert fields == report.fields
     with open(os.path.join(report.run_dir, "report.txt")) as fh:
         assert fh.read() == render_report(fields)
 
@@ -305,8 +328,9 @@ def test_context_findings_land_in_the_scripted_zone(context_run):
 
 def test_exit_code_zero_for_minor_findings(context_run):
     _, report = context_run
-    assert report.overall["fail_count"] == 0
-    assert report.overall["highest_risk"] == "MINOR_RISK"
+    fields = dict(report.fields)
+    assert fields["overall.fail"] == "0"
+    assert fields["overall.highest"] == "MINOR_RISK"
     assert report.exit_code() == 0
 
 
@@ -320,7 +344,7 @@ test: mgmt
 action: USER, management_access, TEST, {target=cam1}
 """
     report = run_dir_scenario(tmp_path, text).run()
-    assert report.overall["fail_count"] == 1
+    assert dict(report.fields)["overall.fail"] == "1"
     assert report.exit_code() == 1
 
 
@@ -335,8 +359,9 @@ action: USER, port_risk, TEST, {target=cam1, ports=1-1024}
 """
     custom = {80: PortScoreEntry(80, "web interface exposed", 40.0)}
     report = run_dir_scenario(tmp_path, text, score_list=custom).run()
-    scan, = report.portscans
-    assert scan["total"] == 40
+    fields = dict(report.fields)
+    assert fields["portscan.count"] == "1"
+    assert fields["portscan.0.total"] == "40"
     assert report.exit_code() == 1  # 40 > 30 is critical
 
 
@@ -419,7 +444,7 @@ action: USER, cam1, TEST, {}
     assert report.profiling is not None
     assert report.profiling.top_class == "camlike"
     assert math.isclose(sum(report.profiling.per_class.values()), 1.0)
-    keys = [k for k, _ in report_fields(report)]
+    keys = [k for k, _ in report.fields]
     assert "profiling.class.camlike" in keys
 
 
@@ -431,5 +456,6 @@ def test_run_scenario_convenience_wrapper(tmp_path):
         "test: t\naction: USER, cam1, TEST, {}\n", str(tmp_path))
     report = run_scenario(scenario,
                           RunOptions(runs_dir=str(tmp_path / "runs")))
-    assert report.scenario_name == "s"
-    assert report.overall["pass_count"] == 1
+    fields = dict(report.fields)
+    assert fields["scenario"] == "s"
+    assert fields["overall.pass"] == "1"

@@ -91,13 +91,22 @@ def files(tmp_path_factory):
                        ("identity.test", TEMPLATE_TEXT)):
         (inputs / name).write_text(text)
     (base / "scores.csv").write_text("80,web,3\n")
+    (base / "vulns.csv").write_text(
+        "# device_type,version_range,vuln_id,severity,description\n"
+        "linux,<=3.0,CVE-2016-0001,critical,old kernel\n"
+        "lighttpd,1.4.0-1.4.40,CVE-2016-0002,low,header leak\n")
+    (base / "probes.csv").write_text(
+        "# probe_id,severity,service_match,payload_hex,signature\n"
+        "P-1,significant,http,474554202f,HTTP\n"
+        "P-2,low,*,00ff,OK\n")
     (base / "iotbed.conf").write_text(
         f"registry_dir={base}\nruns_dir={runs}\n"
         f"score_list_path={base / 'scores.csv'}\ndefault_k=3\n"
         "default_window_s=5.0\ntransport_backend=memory\n")
     return {"run": run_dir, "captures": captures, "inputs": inputs,
             "model": base / "model.prof", "config": base / "iotbed.conf",
-            "labels": base / "train.labels", "scores": base / "scores.csv"}
+            "labels": base / "train.labels", "scores": base / "scores.csv",
+            "vuln_db": base / "vulns.csv", "attack_db": base / "probes.csv"}
 
 
 def sha256(data: bytes) -> str:
@@ -127,12 +136,14 @@ def test_report_rerenders_byte_for_byte(files, capsys):
 
 def mutations(text: str, seed: int, n: int = 20) -> list[str]:
     """Truncate at a byte, drop a line, delete an =, or set a value to x;
-    in a file with no = (a trajectory) the space before a value stands in
-    for the =."""
+    in a file with no = the comma before a value (a CSV, whose values end
+    at a comma too), or else the space (a trajectory), stands in for the
+    =."""
     rng = random.Random(seed)
     lines = text.splitlines(keepends=True)
-    equals = [i for i, ch in enumerate(text) if ch == "="] or \
-        [i for i, ch in enumerate(text) if ch == " "]
+    sep = next((ch for ch in "=," if ch in text), " ")
+    ends = " \n," if sep == "," else " \n"
+    equals = [i for i, ch in enumerate(text) if ch == sep]
     values = [i + 1 for i, ch in enumerate(text) if ch == "="] + \
         [i + 2 for i in range(len(text) - 1) if text[i:i + 2] == ": "] or \
         [i + 1 for i in equals]
@@ -149,7 +160,7 @@ def mutations(text: str, seed: int, n: int = 20) -> list[str]:
             out.append(text[:at] + text[at + 1:])
         else:
             start = end = rng.choice(values)
-            while end < len(text) and text[end] not in " \n":
+            while end < len(text) and text[end] not in ends:
                 end += 1
             out.append(text[:start] + "x" + text[end:])
     return out
@@ -157,9 +168,19 @@ def mutations(text: str, seed: int, n: int = 20) -> list[str]:
 
 def file_targets(files, tmp):
     """(path, argv maker or reader) of every file type; status and
-    findings have only a reader, no command reads them alone."""
+    findings have only a reader, no command reads them alone.  The two
+    databases are read through a config file that names them."""
     run = files["run"]
     good_capture = str(files["captures"] / "cam.cap")
+    audit = str(files["inputs"] / "audit.scn")
+
+    def check_with(key):
+        def argv(path):
+            config = os.path.join(os.path.dirname(path), "db.conf")
+            with open(config, "w") as fh:
+                fh.write(f"{key}_path={path}\n")
+            return ["--config", config, "run", audit, "--check"]
+        return argv
     return {
         "capture": (run / "capture.cap", lambda p: [
             "profile", "test", "--model", str(files["model"]),
@@ -176,6 +197,10 @@ def file_targets(files, tmp):
             "--labels", p, "--out", str(tmp / "out.prof")]),
         "status": (run / "status.rec", read_status),
         "findings": (run / "findings.rec", read_findings),
+        "scores": (files["scores"], lambda p: [
+            "scan", str(files["inputs"] / "devices.dev"), "--score-list", p]),
+        "vuln_db": (files["vuln_db"], check_with("vuln_db")),
+        "attack_db": (files["attack_db"], check_with("attack_db")),
         **input_targets(files, tmp),
     }
 
@@ -243,7 +268,7 @@ def input_rejected(what, path) -> bool:
 @pytest.mark.filterwarnings("ignore:training set has a single class")
 def test_corrupted_files_exit_2_or_read_cleanly(files, tmp_path, capsys):
     cases = fuzz_cases(files, tmp_path)
-    assert len(cases) == 7 * 20 + 4 * 8
+    assert len(cases) == 10 * 20 + 4 * 8
     outcomes = set()
     for what, _, use, path in cases:
         if what in ("status", "findings"):
@@ -269,9 +294,13 @@ def test_corrupted_files_exit_2_or_read_cleanly(files, tmp_path, capsys):
             assert code == 2 and re.match(
                 f"error: {re.escape(path)}:[0-9]+: ", err), (what, path, err)
             outcomes.add((what, "located"))
+        # a score list or database is read whole, before any device
+        if what in ("scores", "vuln_db", "attack_db") and code == 2:
+            assert re.match(f"error: {re.escape(path)}:[0-9]+: ", err), \
+                (what, path, err)
     # every file type both survives some mutations and rejects others
     for what in ("capture", "model", "report", "config", "labels",
-                 "status", "findings"):
+                 "status", "findings", "scores", "vuln_db", "attack_db"):
         assert (what, 2) in outcomes, what
     assert ("labels", 0) in outcomes and ("capture", 0) in outcomes
     for what in INPUTS:
@@ -304,7 +333,7 @@ def test_corrupted_files_under_python_O(files, tmp_path):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     codes = json.loads(done.stdout.splitlines()[-1])
-    assert len(codes) == len(cases) == 5 * 3 + 4 * 3 + 6
+    assert len(codes) == len(cases) == 8 * 3 + 4 * 3 + 6
     for (_, argv), code in zip(cases, codes):
         assert code in ((0, 1, 2) if "run" in argv else (0, 2)), argv
     assert 2 in codes
@@ -351,8 +380,6 @@ def non_finite_cases(files, tmp):
     turn written into every float field of every file type, each at a
     seeded choice among the places the field holds in its file."""
     targets = file_targets(files, tmp)
-    targets["scores"] = (files["scores"], lambda p: [
-        "scan", str(files["inputs"] / "devices.dev"), "--score-list", p])
     rng = random.Random(16)
     cases = []
     for what, patterns in sorted(NON_FINITE_FIELDS.items()):
