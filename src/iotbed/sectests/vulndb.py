@@ -3,14 +3,17 @@
 Vulnerability DB file: CSV lines `device_type,version_range,vuln_id,severity,description`
 with severity in {low, significant, critical}.  Version ranges accept
 `*`, exact `1.2`, comparators `<=1.2 >=1.2 <1.2 >1.2`, and spans `1.0-2.0`
-(inclusive).  Attack-probe DB file: CSV lines
+(inclusive); each piece of a bound starts with a digit, and a range is
+parsed once, when its record is made.  Attack-probe DB file: CSV lines
 `probe_id,severity,service_match,payload_hex,expected_safe_signature`.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import operator
+import re
+from dataclasses import dataclass, field
 
 from ..records import Source
 
@@ -18,32 +21,44 @@ SEVERITIES = ("low", "significant", "critical")
 
 
 def _version_key(version: str) -> tuple[int, ...]:
-    parts = []
-    for piece in version.split("."):
-        digits = ""
-        for ch in piece:
-            if ch.isdigit():
-                digits += ch
-            else:
-                break
-        parts.append(int(digits) if digits else 0)
-    return tuple(parts)
+    """The leading digits of each dot-separated piece, 0 where none."""
+    return tuple(int(re.match("[0-9]*", piece)[0] or 0)
+                 for piece in version.split("."))
+
+
+_COMPARATORS = {"<=": operator.le, ">=": operator.ge,
+                "<": operator.lt, ">": operator.gt}
+
+
+def parse_range(version_range: str) -> tuple:
+    """The (comparison, bound key) pairs that a version's key must all
+    satisfy to lie in version_range; ValueError if it is malformed."""
+    version_range = version_range.strip()
+
+    def key(bound: str) -> tuple[int, ...]:
+        bound = bound.strip()
+        if not all(re.match("[0-9]", piece) for piece in bound.split(".")):
+            raise ValueError(f"bad version range {version_range!r}")
+        return _version_key(bound)
+
+    if version_range == "*":
+        return ()
+    for op, compare in _COMPARATORS.items():
+        if version_range.startswith(op):
+            return ((compare, key(version_range[len(op):])),)
+    if "-" in version_range:
+        lo, _, hi = version_range.partition("-")
+        return ((operator.ge, key(lo)), (operator.le, key(hi)))
+    return ((operator.eq, key(version_range)),)
+
+
+def _in_range(version: str, bounds: tuple) -> bool:
+    version_key = _version_key(version)
+    return all(compare(version_key, bound) for compare, bound in bounds)
 
 
 def version_in_range(version: str, version_range: str) -> bool:
-    version_range = version_range.strip()
-    if version_range in ("*", ""):
-        return True
-    key = _version_key(version)
-    for op in ("<=", ">=", "<", ">"):
-        if version_range.startswith(op):
-            bound = _version_key(version_range[len(op):].strip())
-            return {"<=": key <= bound, ">=": key >= bound,
-                    "<": key < bound, ">": key > bound}[op]
-    if "-" in version_range:
-        lo, _, hi = version_range.partition("-")
-        return _version_key(lo) <= key <= _version_key(hi)
-    return key == _version_key(version_range)
+    return _in_range(version, parse_range(version_range))
 
 
 @dataclass(frozen=True)
@@ -53,6 +68,10 @@ class VulnRecord:
     vuln_id: str
     severity: str
     description: str
+    bounds: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):    # a malformed range fails here, at load
+        object.__setattr__(self, "bounds", parse_range(self.version_range))
 
 
 @dataclass(frozen=True)
@@ -83,8 +102,6 @@ def _read_csv(path: str, n_fields: int, build) -> list:
 def _vuln_record(row: list[str]) -> VulnRecord:
     if row[3] not in SEVERITIES:
         raise ValueError(f"bad severity {row[3]!r}")
-    # fail fast on malformed ranges rather than at match time
-    version_in_range("1.0", row[1])
     return VulnRecord(*row)
 
 
@@ -111,11 +128,5 @@ def match_vulnerabilities(identity: dict[str, str],
     identity maps name -> version; callers include the device-type label,
     the OS name, and every app name as keys.
     """
-    matches = []
-    for record in db:
-        version = identity.get(record.device_type)
-        if version is None:
-            continue
-        if version_in_range(version, record.version_range):
-            matches.append(record)
-    return matches
+    return [record for record in db if record.device_type in identity
+            and _in_range(identity[record.device_type], record.bounds)]

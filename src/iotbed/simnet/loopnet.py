@@ -1,15 +1,16 @@
 """Loopback transport backend: real TCP sockets on 127.0.0.1.
 
-LoopbackNetwork is a MemoryNetwork in wall time over TCP: each open virtual
-port listens on a loopback port.  One selector loop (the Reactor pattern)
-fires the WallClock's due callbacks and serves every socket, on the
-caller's thread: wherever the memory backend advances its virtual clock
-(observe, a proxy delay, the wait for a reply) this one serves the loop,
-so it needs no thread and no lock, and takes client calls from one thread
-at a time.  A request and its reply each travel as one length-prefixed
-frame; an empty frame stands for no reply (the engine's replies are never
-empty), so an unanswered request returns at once.  Timing is NOT
-deterministic; the memory backend has the reproducibility guarantees.
+LoopbackNetwork is a MemoryNetwork whose requests cross TCP: each open
+virtual port listens on a loopback port, and only the transport hooks
+_dial and _exchange differ.  Device events fire on the same VirtualClock,
+so under a fixed seed both backends write the same records at the same
+virtual times.  One selector loop (the Reactor pattern) serves every
+socket, on the caller's thread, while a client waits for a reply
+(_reply); so it needs no thread and no lock, and takes client calls from
+one thread at a time.  A request and its reply each travel as one
+length-prefixed frame; an empty frame stands for no reply (the engine's
+replies are never empty), so an unanswered request returns at once.
+REQUEST_TIMEOUT_S bounds each wait in real seconds.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 from functools import partial
 from selectors import EVENT_READ, DefaultSelector
 
-from .clock import WallClock
 from .devspec import DeviceSpec
 from .memnet import DeviceHandle, MemConnection, MemoryNetwork, _DeviceActor
 
@@ -54,13 +54,12 @@ def _recv_frame(sock: socket.socket) -> bytes | None:
 
 
 class LoopbackNetwork(MemoryNetwork):
-    """MemoryNetwork in wall time over sockets; call shutdown() when done."""
+    """MemoryNetwork over sockets; call shutdown() when done."""
 
     def __init__(self, seed: int = 0):
         super().__init__(seed)
         self._listeners: dict[tuple[str, int], socket.socket] = {}
         self._selector = DefaultSelector()
-        self.clock = WallClock(self._serve)
 
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
         handle = super().spawn_device(spec, dut)
@@ -79,12 +78,8 @@ class LoopbackNetwork(MemoryNetwork):
         self._selector.close()
 
     def _serve(self, timeout: float, until: object = None) -> bool:
-        """One round of the loop: fires the due timers, waits at most
-        timeout (or until the next timer) and serves the ready sockets.
-        True as soon as `until` is readable."""
-        wait = self.clock.fire_due()
-        if wait is not None:
-            timeout = min(wait, timeout)
+        """One round of the loop: waits at most timeout and serves the
+        ready sockets.  True as soon as `until` is readable."""
         for key, _ in self._selector.select(timeout):
             if key.fileobj is until:
                 return True
@@ -139,10 +134,6 @@ class LoopbackNetwork(MemoryNetwork):
             pass
         self._selector.unregister(conn)
         conn.close()
-
-    def _transit(self, seconds: float, delay_s: float = 0.0) -> None:
-        if delay_s > 0:
-            self.clock.advance(delay_s)
 
     def _dial(self, actor: _DeviceActor,
               port: int) -> tuple[socket.socket, bytes] | None:

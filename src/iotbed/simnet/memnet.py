@@ -1,21 +1,19 @@
-"""Deterministic in-memory network backend, and the device model and
+"""Deterministic in-memory network backend, and the device model, clock and
 client operations both backends share.
 
 Devices are event-driven actors (_DeviceActor): background telemetry
 sessions, periodic status samples, context-triggered attack bursts and
-false-alarm bursts are all events on the network's clock.  The actor
-reaches time only through clock.now() and clock.schedule(delay, cb), so
-the same actor runs here on a VirtualClock and on the loopback backend's
-WallClock, fired on the caller's thread while it waits.  The client
-operations (connect, scan_ports, advance_context, MemConnection.request)
-are written once, here, and reach the transport only through _transit,
-_dial and _exchange; LoopbackNetwork replaces the clock and those three
-hooks, so the backends differ only in clock and transport, and record and
-proxy every frame alike.
+false-alarm bursts are all events on the network's VirtualClock.  The
+client operations (connect, scan_ports, advance_context,
+MemConnection.request) are written once, here, and reach the transport
+only through _dial and _exchange; LoopbackNetwork replaces those two
+hooks alone, so the backends differ only in transport, and record, proxy
+and time every frame alike.
 
-Here a fixed seed and a fixed context script reproduce byte-identical
-captures: each leg of a client operation advances the clock by its
-modelled latency, firing any background events that fall due in between.
+A fixed seed and a fixed context script reproduce byte-identical
+captures, on either backend: each leg of a client operation advances the
+clock by its modelled latency, firing any background events that fall due
+in between.
 Every record enters the tap through a single emit point that also
 increments the completeness counter; a port sweep builds its records
 positionally through that same emit, one call per probe.  emit classifies
@@ -340,19 +338,19 @@ class MemConnection:
         if proxy is not None:
             data = _mutate(proxy.request_path, proxy.mutator, data)
             if data is None:
-                net._transit(RTT_S)
+                net.clock.advance(RTT_S)
                 return None
         net.emit(src=self.src, src_port=self.src_port, dst=self.dst,
                  dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
-        net._transit(RTT_S / 2)
+        net.clock.advance(RTT_S / 2)
         reply = net._exchange(self, data)
         if reply is not None and proxy is not None:
             reply = _mutate(proxy.response_path, proxy.mutator, reply)
         if reply is None:
-            net._transit(RTT_S / 2)
+            net.clock.advance(RTT_S / 2)
             return None
         delay_s = 0.0 if proxy is None else proxy.mutator.delay_ms / 1000.0
-        net._transit(RTT_S / 2, delay_s)
+        net.clock.advance(RTT_S / 2 + delay_s)
         net.emit(src=self.dst, src_port=self.dst_port, dst=self.src,
                  dst_port=self.src_port, ttl=net.actors[self.dst].ttl(),
                  kind="response", payload=reply)
@@ -488,12 +486,7 @@ class MemoryNetwork:
         log.sort(key=lambda w: w.t_start)
         return log
 
-    # -- transport: the hooks the loopback backend replaces ---------------
-    def _transit(self, seconds: float, delay_s: float = 0.0) -> None:
-        """One leg of a client operation: seconds of modelled network time
-        plus delay_s that a proxy adds."""
-        self.clock.advance(seconds + delay_s)
-
+    # -- transport: the two hooks the loopback backend replaces ----------
     def _dial(self, actor: _DeviceActor,
               port: int) -> tuple[object, bytes] | None:
         """(channel, banner) of an open port of a live device, else None."""
@@ -512,9 +505,9 @@ class MemoryNetwork:
         src_port = next(self._eph_ports)
         self.emit(src=src, src_port=src_port, dst=dst, dst_port=port,
                   ttl=64, kind="probe", payload=b"")
-        self._transit(RTT_S / 2)
+        self.clock.advance(RTT_S / 2)
         opened = self._dial(actor, port)
-        self._transit(RTT_S / 2)
+        self.clock.advance(RTT_S / 2)
         if opened is None:
             return None
         channel, banner = opened
@@ -530,7 +523,8 @@ class MemoryNetwork:
         src_port = next(self._eph_ports)
         # looked up once per sweep; kind stays a keyword, as the benchmark's
         # tracer (perfbench/tracing.py) counts records per kind from it
-        emit, transit, declared = self.emit, self._transit, actor.spec.ports
+        emit, advance = self.emit, self.clock.advance
+        declared = actor.spec.ports
         for port in ports:
             emit(src, src_port, dst, port, 64, kind="probe", payload=b"")
             # most of a sweep is closed: dial only the declared ports
@@ -542,5 +536,5 @@ class MemoryNetwork:
                 self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
                           ttl=actor.ttl(), kind="banner", payload=banner)
                 found.append((port, banner.decode("ascii", "replace")))
-            transit(SCAN_STEP_S)
+            advance(SCAN_STEP_S)
         return sorted(found)

@@ -1,8 +1,9 @@
 """Command-line behaviour: subcommands, exit codes, deterministic output."""
 
-import collections
+import hashlib
 import os
 import threading
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from conftest import CAMERA_TEXT, load_text
 from iotbed.cli import build_parser, main
 from iotbed.orchestrator import read_report_fields
 from iotbed.profiler import Leaf, StatModel, save_model
-from iotbed.simnet import MemoryNetwork, read_capture, write_capture
+from iotbed.simnet import MemoryNetwork, write_capture
 from iotbed.simnet.devspec import load_device_spec
 from iotbed.trace import read_trace
 
@@ -228,8 +229,28 @@ def test_run_check_validates_without_running(run_layout, capsys):
     assert not runs.exists()
 
 
-# Liveness, the two device commands that connect, and every test but the two
-# that wait seconds of wall time on loopback (data_leakage, delay_attack).
+VULN_ROWS = ("# device_type,version_range,vuln_id,severity,description\n"
+             "linux,<=3.0,CVE-2016-0001,critical,old kernel\n"
+             "lighttpd,1.4.0-1.4.40,CVE-2016-0002,low,header leak\n")
+
+
+@pytest.mark.parametrize("version_range", ["abc", "<=zz", "1.0-"])
+def test_run_check_rejects_a_malformed_vuln_range_at_its_line(
+        run_layout, capsys, version_range):
+    db, config = run_layout / "vulns.csv", run_layout / "iotbed.conf"
+    config.write_text(f"vuln_db_path={db}\n")
+    argv = ["--config", str(config), "run", str(run_layout / "scn.scn"),
+            "--check", "--runs-dir", str(run_layout / "runs")]
+    db.write_text(VULN_ROWS)
+    assert main(argv) == 0
+    db.write_text(VULN_ROWS + f"busybox,{version_range},V-1,low,na\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {db}:4: bad version range {version_range!r}")
+
+
+# Liveness, the two device commands that connect, and every test.
 BOTH_BACKENDS_SCENARIO = """\
 scenario: both_backends
 option: devices=cam.dev
@@ -242,40 +263,71 @@ action: USER, cam1, LOGIN, {user=root, password=root}
 action: USER, port_risk, TEST, {target=cam1, ports=1-1024}
 action: USER, scan_detectability, TEST, {target=cam1, observe_s=0.1}
 """ + "".join(f"action: USER, {kind}, TEST, {{target=cam1}}\n" for kind in (
-    "fingerprint", "process_enumeration", "data_collection",
-    "management_access", "downgrade_attack", "replay_attack", "tamper_attack",
-    "known_vulnerabilities", "vulnerability_probe"))
+    "fingerprint", "process_enumeration", "data_leakage", "data_collection",
+    "management_access", "downgrade_attack", "replay_attack", "delay_attack",
+    "tamper_attack", "known_vulnerabilities", "vulnerability_probe"))
 
 
-def _run_facts(layout, backend, capsys):
-    """What a run of both.scn on backend must agree on: exit code, trace
-    outcomes, phase-1 grades and the records of each tester-driven kind."""
-    runs = layout / backend
-    code = main(["--seed", "7", "--backend", backend, "run",
-                 str(layout / "both.scn"), "--runs-dir", str(runs)])
+def _run_on(scenario, backend, seed, capsys):
+    """Exit code, run directory and wall seconds of a run of scenario."""
+    runs = scenario.parent / f"{backend}-{seed}"
+    began = time.monotonic()
+    code = main(["--seed", str(seed), "--backend", backend, "run",
+                 str(scenario), "--runs-dir", str(runs)])
+    took = time.monotonic() - began
     capsys.readouterr()
-    run_dir = runs / os.listdir(runs)[0]
-    report = dict(read_report_fields(str(run_dir / "report.rec")))
-    trace = read_trace(str(run_dir / "trace.jsonl"))
-    return {
-        "code": code,
-        "outcomes": [entry.outcome for entry in trace],
-        "grades": [report[f"phase1.{i}.grade"]
-                   for i in range(int(report["phase1.count"]))],
-        # background and noise follow the clock, not the tests
-        "kinds": collections.Counter(
-            r.kind for r in read_capture(str(run_dir / "capture.cap"))
-            if r.kind not in ("background", "noise")),
-    }
+    return code, runs / os.listdir(runs)[0], took
+
+
+def _artifact_digests(run_dir):
+    """sha256 of every artifact in run_dir.  report.rec is hashed without
+    the lines that name the run and its backend (run_id=, generated_at=,
+    backend=); report.txt is rendered from report.rec alone and prints
+    them, so it is left out."""
+    digests = {}
+    for name in sorted(os.listdir(run_dir)):
+        if name == "report.txt":
+            continue
+        data = (run_dir / name).read_bytes()
+        if name == "report.rec":
+            data = b"".join(
+                line for line in data.splitlines(keepends=True)
+                if not line.startswith(
+                    (b"run_id=", b"generated_at=", b"backend=")))
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
 
 
 def test_a_scenario_runs_alike_on_both_backends(run_layout, capsys):
-    (run_layout / "both.scn").write_text(BOTH_BACKENDS_SCENARIO)
-    memory = _run_facts(run_layout, "memory", capsys)
-    assert memory["code"] == 1
-    assert memory["outcomes"] == ["ok"] * 14
-    assert len(memory["grades"]) == 12
-    assert _run_facts(run_layout, "loopback", capsys) == memory
+    scenario = run_layout / "both.scn"
+    scenario.write_text(BOTH_BACKENDS_SCENARIO)
+    code, run_dir, _ = _run_on(scenario, "memory", 7, capsys)
+    assert code == 1
+    assert [e.outcome for e in read_trace(
+        str(run_dir / "trace.jsonl"))] == ["ok"] * 16
+    report = dict(read_report_fields(str(run_dir / "report.rec")))
+    assert report["phase1.count"] == "14"
+    memory = _artifact_digests(run_dir)
+    assert set(memory) >= {"capture.cap", "status.rec", "report.rec",
+                           "trace.jsonl"}
+    code_lb, run_dir, took = _run_on(scenario, "loopback", 7, capsys)
+    assert (code_lb, _artifact_digests(run_dir)) == (code, memory)
+    assert took < 1.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_context_scenario_runs_alike_on_both_backends(
+        context_run_dir, capsys, seed):
+    scenario = context_run_dir / "scn.scn"
+    code, run_dir, _ = _run_on(scenario, "memory", seed, capsys)
+    memory = _artifact_digests(run_dir)
+    assert set(memory) >= {"capture.cap", "status.rec", "windows.rec",
+                           "findings.rec", "report.rec"}
+    code_lb, run_dir, took = _run_on(scenario, "loopback", seed, capsys)
+    assert (code_lb, _artifact_digests(run_dir)) == (code, memory)
+    # device events fire on the virtual clock, so no run waits out the
+    # trajectory's span in wall time
+    assert took < 1.0
 
 
 def test_report_rerender_is_byte_identical(run_layout, capsys):

@@ -175,6 +175,11 @@ def test_version_in_range_forms():
     assert version_in_range("1.19", "1.10-1.25")
     assert not version_in_range("1.30", "1.10-1.25")
     assert version_in_range("2.0.1", "2.0-2.1")
+    assert version_in_range("1.19", " 1.10 - 1.25 ")
+    assert version_in_range("3.0", "<=3.0")
+    assert not version_in_range("3.0", "<3.0")
+    assert version_in_range("3.1", ">3.0")
+    assert not version_in_range("3.0", ">=3.1")
 
 
 def test_match_vulnerabilities_by_identity():
