@@ -12,11 +12,14 @@ AnalysisError("<path>:<line>: ..."), so a malformed file exits 2, not 1.
 Every float field of every reader is read with finite, which raises that
 ValueError on nan and +-inf as well; an integer field that the profiler
 turns into a float (a capture's size and ttl, a device's ttl) is read
-with integer, which raises it for a value past the float range.
+with integer, which raises it for a value past the float range.  A
+software version (a device's os: and app: lines, the bounds of a
+vulnerability range) must pass is_version.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from contextlib import contextmanager
 from math import isfinite
@@ -41,6 +44,12 @@ def integer(text: str) -> int:
         raise ValueError(f"{len(text)}-character integer is out of the "
                          "float range") from None
     return value
+
+
+def is_version(text: str) -> bool:
+    """Whether each dot-separated piece of text starts with a digit (1.19,
+    2.0.1b), so that every piece has a number to compare."""
+    return all(re.match("[0-9]", piece) for piece in text.split("."))
 
 
 def dumps(pairs) -> str:

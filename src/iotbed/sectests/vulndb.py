@@ -15,7 +15,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 
-from ..records import Source
+from ..records import Source, is_version
 
 SEVERITIES = ("low", "significant", "critical")
 
@@ -37,7 +37,7 @@ def parse_range(version_range: str) -> tuple:
 
     def key(bound: str) -> tuple[int, ...]:
         bound = bound.strip()
-        if not all(re.match("[0-9]", piece) for piece in bound.split(".")):
+        if not is_version(bound):
             raise ValueError(f"bad version range {version_range!r}")
         return _version_key(bound)
 

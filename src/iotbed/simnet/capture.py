@@ -65,7 +65,7 @@ class CaptureRecord:
             marker = find_gps_marker(payload)
         else:
             entropy, marker = 0.0, None
-        # positional, in field order: a port sweep builds tens of thousands
+        # positional, in field order: a run builds tens of thousands
         return cls(seq, ts, src_addr, dst_addr, src_port, dst_port, proto,
                    ttl, len(payload), entropy, marker, direction, kind)
 
@@ -93,8 +93,8 @@ class CaptureTap:
 
     def between(self, t0: float, t1: float) -> list[CaptureRecord]:
         """Records with t0 <= ts < t1.  The tap is in non-decreasing ts
-        order, as emit stamps the clock's now() as it appends, so both
-        ends are found by bisection."""
+        order, as each record is stamped with the clock's now() as it is
+        appended, so both ends are found by bisection."""
         records = self._records
         return records[bisect_left(records, t0, key=_ts):
                        bisect_left(records, t1, key=_ts)]

@@ -3,14 +3,17 @@
 VirtualClock drives both backends: every scheduled callback fires at an
 exact virtual instant, ties broken by scheduling order, so a run is
 reproducible to the timestamp.  now() never goes backwards.  Time moves
-only when advance() is called.
+only when advance() is called, or while a steps() generator is iterated:
+steps(step, count) yields now() count times and, after each yield,
+advances by step exactly as advance(step) would, so a loop of count
+evenly spaced actions (a port sweep) pays no call per step.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable
+from typing import Callable, Iterator
 
 
 class VirtualClock:
@@ -45,3 +48,19 @@ class VirtualClock:
             callback()
         self._now = deadline
 
+    def steps(self, step: float, count: int) -> Iterator[float]:
+        """now(), count times; after each, advance(step) inlined."""
+        if step < 0:
+            raise ValueError("cannot advance backwards")
+        queue = self._queue
+
+        def stepping() -> Iterator[float]:
+            for _ in range(count):
+                yield self._now
+                deadline = self._now + step
+                while queue and queue[0][0] <= deadline:
+                    when, _, callback = heapq.heappop(queue)
+                    self._now = when
+                    callback()
+                self._now = deadline
+        return stepping()

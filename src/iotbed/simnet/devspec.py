@@ -3,9 +3,11 @@
 One file can declare several devices.  Each `device:` line opens a block;
 the lines that follow attach properties to it.  Values are `key=value`
 tokens (shlex rules, so banners may be quoted); `port:`, `os:` and `app:`
-lines additionally take leading positional fields.  A malformed file
-raises AnalysisError("<path>:<line>: ..."); a device whose values
-contradict each other is reported at its `device:` line.
+lines additionally take leading positional fields.  Each dot-separated
+piece of an `os:` or `app:` version starts with a digit, as each piece of
+a vulnerability range's bounds does.  A malformed file raises
+AnalysisError("<path>:<line>: ..."); a device whose values contradict
+each other is reported at its `device:` line.
 
     device: cam01 type=ip_camera
     address: 10.0.0.11
@@ -29,7 +31,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from ..records import Source, directives, finite, integer
+from ..records import Source, directives, finite, integer, is_version
 from .context import ContextPredicate
 
 # Ordered sensitivity ladder for stored data.
@@ -260,6 +262,8 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                 d.ports[port.number] = port
             elif key in ("os", "app"):
                 pos, kv = _split_kv(tokens, "up_to_date risk", positional=2)
+                if not is_version(pos[1]):
+                    raise ValueError(f"bad version {pos[1]!r}")
                 sw = SoftwareSpec(name=pos[0], version=pos[1])
                 if "up_to_date" in kv:
                     sw.up_to_date = _parse_bool(kv["up_to_date"])

@@ -14,12 +14,14 @@ A fixed seed and a fixed context script reproduce byte-identical
 captures, on either backend: each leg of a client operation advances the
 clock by its modelled latency, firing any background events that fall due
 in between.
-Every record enters the tap through a single emit point that also
-increments the completeness counter; a port sweep builds its records
-positionally through that same emit, one call per probe.  emit classifies
-the direction inline and appends through the tap list's own append, so a
-probe record runs no Python function but emit, the clock's now() and
-CaptureRecord.build.
+emit builds a record from a payload, stamps it with the clock's now(),
+numbers it and appends it to the tap; every record but a sweep's probes
+enters that way.  scan_ports builds each probe's record itself, with no
+payload to measure: it walks the clock's steps() beside the ports, so a
+closed port costs one record construction and one append, with no call to
+emit, CaptureRecord.build or the clock.  Both count every record in
+emitted, so emitted == len(tap), and both take the direction from one
+rule, _direction().
 Ephemeral source ports wrap back to the start of their range after 65535.
 """
 
@@ -387,18 +389,21 @@ class MemoryNetwork:
         self._capture_ids = itertools.count(1)
         self._captures: dict[int, CaptureHandle] = {}
 
-    # -- record emission (single choke point) ---------------------------
+    # -- record emission ----------------------------------------------
+    def _direction(self, src: str, dst: str) -> str:
+        """to_dut, from_dut or lateral, by which ends are devices under
+        test; a record between two of them, or none, is lateral."""
+        dut_ids = self.dut_ids
+        if dst in dut_ids:
+            return "lateral" if src in dut_ids else "to_dut"
+        return "from_dut" if src in dut_ids else "lateral"
+
     def emit(self, src: str, src_port: int, dst: str, dst_port: int,
              ttl: int, kind: str, payload: bytes) -> None:
         self.emitted += 1
-        dut_ids = self.dut_ids
-        if dst in dut_ids:
-            direction = "lateral" if src in dut_ids else "to_dut"
-        else:
-            direction = "from_dut" if src in dut_ids else "lateral"
         self.tap.add(CaptureRecord.build(
             self.emitted, self.clock.now(), src, src_port, dst, dst_port, ttl,
-            kind, direction, payload))
+            kind, self._direction(src, dst), payload))
 
     # -- device lifecycle -----------------------------------------------
     def spawn_device(self, spec: DeviceSpec, dut: bool = True) -> DeviceHandle:
@@ -521,12 +526,15 @@ class MemoryNetwork:
         actor = self._actor(dst)
         found: list[tuple[int, str]] = []
         src_port = next(self._eph_ports)
-        # looked up once per sweep; kind stays a keyword, as the benchmark's
-        # tracer (perfbench/tracing.py) counts records per kind from it
-        emit, advance = self.emit, self.clock.advance
         declared = actor.spec.ports
-        for port in ports:
-            emit(src, src_port, dst, port, 64, kind="probe", payload=b"")
+        direction = self._direction(src, dst)
+        add = self.tap.add
+        # every probe record holds the same field objects but seq, ts and
+        # dst_port, so write_capture reuses the text around them
+        for ts, port in zip(self.clock.steps(SCAN_STEP_S, len(ports)), ports):
+            self.emitted += 1
+            add(CaptureRecord(self.emitted, ts, src, dst, src_port, port,
+                              "tcp", 64, 0, 0.0, None, direction, "probe"))
             # most of a sweep is closed: dial only the declared ports
             opened = port in declared and self._dial(actor, port)
             if opened:
@@ -536,5 +544,4 @@ class MemoryNetwork:
                 self.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
                           ttl=actor.ttl(), kind="banner", payload=banner)
                 found.append((port, banner.decode("ascii", "replace")))
-            advance(SCAN_STEP_S)
         return sorted(found)

@@ -250,6 +250,24 @@ def test_run_check_rejects_a_malformed_vuln_range_at_its_line(
         f"error: {db}:4: bad version range {version_range!r}")
 
 
+@pytest.mark.parametrize("line,version", [
+    ("os: busybox", "v1.30"), ("os: busybox", "unknown"),
+    ("app: lighttpd", "1..4"), ("app: lighttpd", "1.4.x")])
+def test_run_check_rejects_a_malformed_device_version_at_its_line(
+        run_layout, capsys, line, version):
+    # such a version used to read as 0 and so lay in every <= range
+    lines = CAMERA_TEXT.splitlines(keepends=True)
+    number = next(i for i, text in enumerate(lines) if text.startswith(line))
+    lines[number] = f"{line} {version}\n"
+    spec = run_layout / "cam.dev"
+    spec.write_text("".join(lines))
+    argv = ["run", str(run_layout / "scn.scn"), "--check",
+            "--runs-dir", str(run_layout / "runs")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {spec}:{number + 1}: bad version {version!r}")
+
+
 # Liveness, the two device commands that connect, and every test.
 BOTH_BACKENDS_SCENARIO = """\
 scenario: both_backends

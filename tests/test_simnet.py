@@ -4,8 +4,11 @@ virtual transport, loopback transport."""
 import collections
 import dataclasses
 import hashlib
+import importlib.util
 import math
+import os
 import random
+import sys
 import threading
 import time
 
@@ -26,7 +29,7 @@ from iotbed.simnet.context import (
 from iotbed.simnet.devspec import DeviceSpec, load_device_spec
 from iotbed.simnet.loopnet import (FRAME_HEAD, REQUEST_TIMEOUT_S,
                                   LoopbackNetwork)
-from iotbed.simnet.memnet import MemoryNetwork, ProxyMutator
+from iotbed.simnet.memnet import SCAN_STEP_S, MemoryNetwork, ProxyMutator
 from iotbed.simnet.payload import (
     _WORDS,
     encrypted_payload,
@@ -183,6 +186,61 @@ def test_clock_callbacks_can_reschedule():
     clk.schedule(1.0, tick)
     clk.advance(10.0)
     assert ticks == [1.0, 2.0, 3.0]
+
+
+def _stepped(drive) -> tuple[list, list, float, float]:
+    """The now() values drive(clock) collects, the (name, now()) of each
+    callback fired, the clock's end time and the end of its third step.
+    Two events fall due exactly at that end, and one event's callback
+    schedules another that is due at once."""
+    clk = VirtualClock(start=2.0)
+    fired = []
+
+    def event(name, then=None):
+        def callback():
+            fired.append((name, clk.now()))
+            if then is not None:
+                clk.schedule(0.0, event(then))
+        return callback
+
+    edge = 2.0
+    for _ in range(3):
+        edge += 0.001
+    clk.schedule_at(edge, event("edge"))
+    clk.schedule_at(edge, event("tie"))
+    clk.schedule(0.0015, event("parent", then="child"))
+    clk.schedule(0.0042, event("late"))
+    clk.schedule(0.0072, event("after"))
+    return drive(clk), fired, clk.now(), edge
+
+
+def _advanced(clk) -> list[float]:
+    nows = []
+    for _ in range(6):
+        nows.append(clk.now())
+        clk.advance(0.001)
+    return nows
+
+
+def test_clock_steps_match_repeated_advance():
+    stepped = _stepped(lambda clk: list(clk.steps(0.001, 6)))
+    assert stepped == _stepped(_advanced)
+    nows, fired, end, edge = stepped
+    assert nows[3] == edge
+    assert [name for name, _ in fired] == ["parent", "child", "edge", "tie",
+                                           "late"]
+    assert end > nows[-1]
+
+
+def test_clock_steps_checks_its_step_and_may_take_none():
+    clk = VirtualClock(start=1.0)
+    seen = []
+    clk.schedule(0.0, lambda: seen.append("due"))
+    assert list(clk.steps(0.5, 0)) == []
+    assert (clk.now(), seen) == (1.0, [])
+    with pytest.raises(ValueError):
+        clk.steps(-0.001, 3)
+    assert clk.now() == 1.0
 
 
 # -- payload synthesis ------------------------------------------------------
@@ -546,6 +604,104 @@ def test_sweep_between_clock_events_is_pinned(camera_net, tmp_path):
         "d02fae1e35105095bba71ae4c914db6c581a724277af079e42501b6e7845b70f")
 
 
+def per_probe_scan_ports(net, src, dst, ports):
+    """scan_ports as it was written before the clock's steps(): one emit and
+    one advance(SCAN_STEP_S) per probe.  The oracle of the sweep."""
+    actor = net._actor(dst)
+    found = []
+    src_port = next(net._eph_ports)
+    for port in ports:
+        net.emit(src, src_port, dst, port, 64, kind="probe", payload=b"")
+        opened = port in actor.spec.ports and net._dial(actor, port)
+        if opened:
+            channel, banner = opened
+            if channel is not None:
+                channel.close()
+            net.emit(src=dst, src_port=port, dst=src, dst_port=src_port,
+                     ttl=actor.ttl(), kind="banner", payload=banner)
+            found.append((port, banner.decode("ascii", "replace")))
+        net.clock.advance(SCAN_STEP_S)
+    return sorted(found)
+
+
+def _swept(net, camera_spec, dut, sweep):
+    """Records, open ports and end time of a 1-3000 sweep begun at t = 6,
+    with cam1's telemetry and three planted events inside it."""
+    try:
+        net.spawn_device(camera_spec, dut=dut)
+        net.observe(6)
+        edge = net.now()
+        for _ in range(1200):
+            edge += SCAN_STEP_S
+
+        def noise(dst_port):
+            return lambda: net.emit("hub9", 7000, "cam1", dst_port, 32,
+                                    kind="noise", payload=b"\x01\x02")
+
+        # due exactly at the end of the 1200th step, and a callback that
+        # schedules a record while the sweep runs
+        net.clock.schedule_at(edge, noise(1))
+        net.clock.schedule(0.75, lambda: net.clock.schedule(0.0005, noise(2)))
+        found = sweep(net, "scanner", "cam1", range(1, 3001))
+        assert net.emitted == len(net.tap)
+        return net.tap.records, found, net.now()
+    finally:
+        net.shutdown()
+
+
+@pytest.mark.parametrize("dut", [True, False], ids=["dut", "peer"])
+@pytest.mark.parametrize("backend", [MemoryNetwork, LoopbackNetwork],
+                         ids=["memory", "loopback"])
+def test_sweep_matches_the_per_probe_loop(backend, dut, camera_spec):
+    records, found, end = _swept(backend(seed=7), camera_spec, dut,
+                                 MemoryNetwork.scan_ports)
+    oracle, oracle_found, oracle_end = _swept(backend(seed=7), camera_spec,
+                                              dut, per_probe_scan_ports)
+    assert ([dataclasses.astuple(r) for r in records]
+            == [dataclasses.astuple(r) for r in oracle])
+    assert (found, end) == (oracle_found, oracle_end)
+    assert [port for port, _ in found] == [23, 80, 443]
+    kinds = collections.Counter(r.kind for r in records)
+    assert kinds["noise"] == 2 and kinds["background"] > 0
+    at = next(i for i, r in enumerate(records)
+              if r.kind == "noise" and r.dst_port == 1)
+    # fired by the step after the 1200th probe, before the 1201st
+    assert [(r.kind, r.dst_port) for r in records[at - 1:at + 2:2]] == [
+        ("probe", 1200), ("probe", 1201)]
+
+
+def load_tracer(monkeypatch):
+    """A Tracer of perfbench/tracing.py, its module loaded for this test."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracing.py")
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_the_tracer_sees_every_record_of_a_sweep(camera_net, monkeypatch):
+    # the benchmark's tracer counts the records that pass through emit per
+    # kind, and a sweep's probes, which do not, by its list of ports
+    tracer = load_tracer(monkeypatch)
+    tracer.install()
+    try:
+        tracer.active = True
+        camera_net.observe(6)
+        camera_net.scan_ports("scanner", "cam1", range(1, 3001))
+        camera_net.connect("tester", "cam1", 23).close()
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    counts = tracer.rec.counts
+    assert counts["memnet.scan_ports"] == 3000
+    assert (counts["memnet.records"] + counts["memnet.scan_ports"]
+            == camera_net.emitted == len(camera_net.tap))
+    assert (counts["memnet.records.probe"], counts["memnet.records.banner"],
+            counts["memnet.records.background"]) == (1, 4, 14)
+
+
 BOX_TEXT = """\
 device: box type=server connectivity=ethernet
 port: 23 service=telnet
@@ -791,7 +947,7 @@ def test_loopback_roundtrip(camera_spec):
 
 
 def test_loopback_emit_takes_fields_positionally(camera_spec):
-    # scan_ports passes a probe's fields positionally and kind by keyword
+    # emit takes a record's fields positionally as well as by keyword
     net = LoopbackNetwork(seed=5)
     try:
         net.spawn_device(camera_spec, dut=True)
