@@ -3,11 +3,13 @@
 One file can declare several devices.  Each `device:` line opens a block;
 the lines that follow attach properties to it.  Values are `key=value`
 tokens (shlex rules, so banners may be quoted); `port:`, `os:` and `app:`
-lines additionally take leading positional fields.  Each dot-separated
-piece of an `os:` or `app:` version starts with a digit, as each piece of
-a vulnerability range's bounds does.  A malformed file raises
-AnalysisError("<path>:<line>: ..."); a device whose values contradict
-each other is reported at its `device:` line.
+lines additionally take leading positional fields.  A line with no quote
+or backslash splits to shlex's tokens without shlex: on runs of space,
+tab, CR and LF only.  Each dot-separated piece of an `os:` or `app:`
+version starts with a digit, as each piece of a vulnerability range's
+bounds does, also in a spec built in code (`DeviceSpec.validate`).  A
+malformed file raises AnalysisError("<path>:<line>: ..."); a device whose
+values contradict each other is reported at its `device:` line.
 
     device: cam01 type=ip_camera
     address: 10.0.0.11
@@ -28,6 +30,7 @@ each other is reported at its `device:` line.
 
 from __future__ import annotations
 
+import re
 import shlex
 from dataclasses import dataclass, field
 
@@ -147,7 +150,7 @@ class DeviceSpec:
                 >= data_class_rank("sensitive"))
 
     def validate(self) -> None:
-        """Raise ValueError on a range no device can have."""
+        """Raise ValueError on a range or version no device can have."""
         if self.timing_min_ms is not None and self.timing_max_ms is not None:
             if self.timing_min_ms > self.timing_max_ms:
                 raise ValueError(
@@ -177,17 +180,52 @@ class DeviceSpec:
             if not 1 <= port.number <= 65535:
                 raise ValueError(
                     f"{self.device_id}: port {port.number} out of range")
+        for sw in [self.os, *self.apps]:
+            if sw is not None and not is_version(sw.version):
+                raise ValueError(
+                    f"{self.device_id}: bad version {sw.version!r}")
 
 
-def _split_kv(tokens: list[str], keys: str,
+# The keys each kind of line takes in its key=value tokens.
+_KEYS = {kind: frozenset(keys.split()) for kind, keys in (
+    ("device", "type connectivity"),
+    ("port", "service banner default_creds crash_on_malformed freshness "
+             "vulnerable_to"),
+    ("os", "up_to_date risk"),
+    ("app", "up_to_date risk"),
+    ("traffic", "size_mean size_stddev gap_ms gap_stddev_ms session_rate ttl"),
+    ("timing_range", "min_ms max_ms"),
+    ("robustness", "ignores_malformed"),
+    ("encryption", "payload accepts_downgrade replay_protected"),
+    ("monitor", "period_s cpu_base cpu_noise cpu_spike mem_base mem_noise "
+                "mem_spike"),
+    ("compromise", "lat lon radius_m window ports interval_ms targets"),
+    ("false_alarm", "at_s packets gap_ms"),
+)}
+
+# A run of anything but shlex's whitespace; \x0b, \xa0 and the like are
+# part of a token to shlex, though str.split() splits on them.
+_WORD = re.compile("[^ \t\r\n]+")
+
+
+def _tokens(body: str) -> list[str]:
+    """shlex.split(body).  Without a quote or backslash shlex only splits
+    on its whitespace, so such a body skips its per-character lexer."""
+    if "'" in body or '"' in body or "\\" in body:
+        return shlex.split(body)
+    return _WORD.findall(body)
+
+
+def _split_kv(tokens: list[str], kind: str,
               positional: int = 0) -> tuple[list[str], dict[str, str]]:
-    """The positional fields and key=value pairs of a line taking `keys`."""
+    """The positional fields and key=value pairs of a line of `kind`."""
+    keys = _KEYS[kind]
     pos: list[str] = []
     kv: dict[str, str] = {}
     for token in tokens:
         if "=" in token:
             key, _, val = token.partition("=")
-            if key not in keys.split():
+            if key not in keys:
                 raise ValueError(f"unknown key {key!r}")
             kv[key] = val
         elif len(pos) < positional:
@@ -228,9 +266,9 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
     source = Source(path)
     with source.parsing():
         for key, body in directives(source):
-            tokens = shlex.split(body)
+            tokens = _tokens(body)
             if key == "device":
-                pos, kv = _split_kv(tokens, "type connectivity", positional=1)
+                pos, kv = _split_kv(tokens, key, positional=1)
                 if pos[0] in lines:
                     raise ValueError(f"duplicate device {pos[0]!r}")
                 dev = DeviceSpec(device_id=pos[0])
@@ -243,9 +281,7 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
             elif key == "connectivity":
                 need().connectivity = _value(tokens)
             elif key == "port":
-                pos, kv = _split_kv(tokens, "service banner default_creds "
-                                    "crash_on_malformed freshness vulnerable_to",
-                                    positional=1)
+                pos, kv = _split_kv(tokens, key, positional=1)
                 port = PortSpec(number=int(pos[0]))
                 port.service = kv.get("service", port.service)
                 port.banner = kv.get("banner", port.banner)
@@ -261,7 +297,7 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     raise ValueError(f"duplicate port {port.number}")
                 d.ports[port.number] = port
             elif key in ("os", "app"):
-                pos, kv = _split_kv(tokens, "up_to_date risk", positional=2)
+                pos, kv = _split_kv(tokens, key, positional=2)
                 if not is_version(pos[1]):
                     raise ValueError(f"bad version {pos[1]!r}")
                 sw = SoftwareSpec(name=pos[0], version=pos[1])
@@ -273,25 +309,23 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                 else:
                     need().apps.append(sw)
             elif key == "traffic":
-                _, kv = _split_kv(tokens, "size_mean size_stddev gap_ms "
-                                  "gap_stddev_ms session_rate ttl")
+                _, kv = _split_kv(tokens, key)
                 t = TrafficSpec()
                 for name, val in kv.items():
                     parse = integer if name == "ttl" else finite
                     setattr(t, name, parse(val))
                 need().traffic = t
             elif key == "timing_range":
-                _, kv = _split_kv(tokens, "min_ms max_ms")
+                _, kv = _split_kv(tokens, key)
                 need().timing_min_ms = finite(kv["min_ms"])
                 need().timing_max_ms = finite(kv["max_ms"])
             elif key == "robustness":
-                _, kv = _split_kv(tokens, "ignores_malformed")
+                _, kv = _split_kv(tokens, key)
                 if "ignores_malformed" in kv:
                     need().ignores_malformed = \
                         _parse_bool(kv["ignores_malformed"])
             elif key == "encryption":
-                _, kv = _split_kv(tokens, "payload accepts_downgrade "
-                                  "replay_protected")
+                _, kv = _split_kv(tokens, key)
                 d = need()
                 if "payload" in kv:
                     if kv["payload"] not in ("encrypted", "plaintext"):
@@ -312,14 +346,12 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     raise ValueError(f"bad data class {cls!r}")
                 need().stored_data_class = cls
             elif key == "monitor":
-                _, kv = _split_kv(tokens, "period_s cpu_base cpu_noise "
-                                  "cpu_spike mem_base mem_noise mem_spike")
+                _, kv = _split_kv(tokens, key)
                 m = need().monitor
                 for name, val in kv.items():
                     setattr(m, name, finite(val))
             elif key == "compromise":
-                _, kv = _split_kv(tokens, "lat lon radius_m window ports "
-                                  "interval_ms targets")
+                _, kv = _split_kv(tokens, key)
                 window_start = window_end = None
                 if "window" in kv:
                     lo, _, hi = kv["window"].partition("-")
@@ -339,7 +371,7 @@ def load_device_spec(path: str) -> list[DeviceSpec]:
                     targets=_str_list(kv.get("targets", "")),
                 )
             elif key == "false_alarm":
-                _, kv = _split_kv(tokens, "at_s packets gap_ms")
+                _, kv = _split_kv(tokens, key)
                 need().false_alarm = FalseAlarmSpec(
                     at_s=finite(kv["at_s"]),
                     packets=int(kv.get("packets", "40")),

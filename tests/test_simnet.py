@@ -8,6 +8,8 @@ import importlib.util
 import math
 import os
 import random
+import re
+import shlex
 import sys
 import threading
 import time
@@ -26,7 +28,8 @@ from iotbed.simnet.context import (
     haversine_m,
     load_trajectory,
 )
-from iotbed.simnet.devspec import DeviceSpec, load_device_spec
+from iotbed.simnet.devspec import (DeviceSpec, SoftwareSpec, _tokens,
+                                   load_device_spec)
 from iotbed.simnet.loopnet import (FRAME_HEAD, REQUEST_TIMEOUT_S,
                                   LoopbackNetwork)
 from iotbed.simnet.memnet import SCAN_STEP_S, MemoryNetwork, ProxyMutator
@@ -84,6 +87,23 @@ def test_zero_session_rate_means_silent_device():
     assert [r for r in net.tap.records if r.src_addr == "quiet"] == []
 
 
+@pytest.mark.parametrize("version", ["v1.30", "unknown", "1..4"])
+def test_spawn_rejects_a_bad_version_built_in_code(version):
+    # A spec built in code never meets the reader's check at its os: or
+    # app: line; unchecked, vulndb would read v1.30 as 0 <= 1.20.
+    for os_spec, apps in ((SoftwareSpec("busybox", version), []),
+                          (None, [SoftwareSpec("nginx", "1.10"),
+                                  SoftwareSpec("camsrv", version)])):
+        net = MemoryNetwork(seed=1)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"d: bad version {version!r}")):
+            net.spawn_device(DeviceSpec("d", os=os_spec, apps=apps))
+        assert net.actors == {}
+    good = DeviceSpec("d", os=SoftwareSpec("busybox", "1.19"),
+                      apps=[SoftwareSpec("lighttpd", "1.4.35")])
+    MemoryNetwork(seed=1).spawn_device(good)
+
+
 @pytest.mark.parametrize("line, name", [
     ("traffic: session_rate=-1", "session_rate"),
     # zero would sample status forever at one instant; a negative value
@@ -122,6 +142,42 @@ def test_bad_property_values_rejected(tmp_path):
         load_text(load_device_spec,
                   "device: d type=server\n\naddress:   # none given\n",
                   tmp_path)
+    # shlex's own errors, at the line of the bad quote or escape
+    with pytest.raises(AnalysisError,
+                       match=input_at(tmp_path, 2) + "No closing quotation"):
+        load_text(load_device_spec,
+                  "device: d type=server\nport: 80 banner=\"abc\n", tmp_path)
+    with pytest.raises(AnalysisError,
+                       match=input_at(tmp_path, 4) + "No escaped character"):
+        load_text(load_device_spec,
+                  "device: d type=server\nport: 80 service=http\n\n"
+                  "port: 81 banner=abc\\  # the escape ends the body\n",
+                  tmp_path)
+
+
+def _split_outcome(split, body):
+    try:
+        return split(body)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_spec_tokens_match_shlex():
+    # Oracle: the reader's tokenizer against shlex.split on bodies stripped
+    # as records.directives strips them, drawn from quotes, the escape, the
+    # reader's punctuation, shlex's whitespace and whitespace that shlex
+    # keeps inside a token.  About half the draws hold no quote or escape.
+    special = "'\"\\"
+    plain = "ab#=, \t\r\n\x0b\x0c\xa0\u2003"
+    rng = random.Random(3)
+    fast = 0
+    for _ in range(20_000):
+        alphabet = plain if rng.random() < 0.5 else plain + special * 2
+        body = "".join(rng.choices(alphabet, k=rng.randrange(12))).strip()
+        fast += not any(c in body for c in special)
+        assert (_split_outcome(_tokens, body)
+                == _split_outcome(shlex.split, body)), repr(body)
+    assert fast > 10_000
 
 
 @pytest.mark.parametrize("line", [
