@@ -37,9 +37,10 @@ file formats:
                       use: TEMPLATE (TEMPLATE.test: action: lines only);
                       option keys: devices, dut, baseline_s, window_s, k,
                       profile_model, criteria.<test>.<param>
-  device spec (.dev)  device: ID k=v ... followed by port:/os:/app:/traffic:/
-                      timing_range:/robustness:/encryption:/introspection:/
-                      stored_data:/monitor:/compromise:/false_alarm: lines
+  device spec (.dev)  device: ID k=v ... followed by address:/connectivity:/
+                      port:/os:/app:/traffic:/timing_range:/robustness:/
+                      encryption:/introspection:/stored_data:/monitor:/
+                      compromise:/false_alarm: lines
   context script      one event per line: "<t> <lat> <lon> [day]", strictly
                       increasing t
                       (in these three, # starts a comment anywhere on a line)

@@ -2,30 +2,45 @@
 
 One file can declare several devices.  Each `device:` line opens a block;
 the lines that follow attach properties to it.  Values are `key=value`
-tokens (shlex rules, so banners may be quoted); `port:`, `os:` and `app:`
-lines additionally take leading positional fields.  A line with no quote
-or backslash splits to shlex's tokens without shlex: on runs of space,
-tab, CR and LF only.  Each dot-separated piece of an `os:` or `app:`
-version starts with a digit, as each piece of a vulnerability range's
-bounds does, also in a spec built in code (`DeviceSpec.validate`).  A
-malformed file raises AnalysisError("<path>:<line>: ..."); a device whose
-values contradict each other is reported at its `device:` line.
+tokens (shlex rules, so banners may be quoted); `device:`, `port:`, `os:`
+and `app:` lines additionally take leading positional fields.  A value
+line (`address:`, `connectivity:`, `introspection:`, `stored_data:`)
+takes exactly one value, which may hold `=`.  A line with no quote or
+backslash splits to shlex's tokens without shlex: on runs of space, tab,
+CR and LF only.  A `#` starts a comment anywhere on a line, also inside
+quotes.  Each dot-separated piece of an `os:` or `app:` version starts
+with a digit, as each piece of a vulnerability range's bounds does, also
+in a spec built in code (`DeviceSpec.validate`).  A malformed file raises
+AnalysisError("<path>:<line>: ..."); a device whose values contradict
+each other is reported at its `device:` line.
+
+Each kind of line is read through one entry of `_LINES`: its positional
+field count, the keys it requires, and each key's attribute and parser.
+A key left out keeps the default of its dataclass field.  The example
+below uses every kind of line and every key:
 
     device: cam01 type=ip_camera
     address: 10.0.0.11
+    connectivity: lte
     port: 80 service=http banner="lighttpd 1.4.35" default_creds=admin:admin
-    port: 443 service=https banner="TLSv1 server" vulnerable_to=probe_hb
-    os: linux 3.18 up_to_date=false
+    port: 81 service=http-alt crash_on_malformed=true
+    port: 443 service=https freshness=false vulnerable_to=probe_hb,probe_ccs
+    os: linux 3.18 up_to_date=false risk=critical
     app: camsrv 2.1 up_to_date=false risk=major
-    traffic: size_mean=512 size_stddev=96 gap_ms=80 gap_stddev_ms=18 ttl=64 session_rate=4
+    traffic: size_mean=512 size_stddev=96 gap_ms=80 gap_stddev_ms=18
     timing_range: min_ms=60 max_ms=220
     robustness: ignores_malformed=true
     encryption: payload=plaintext accepts_downgrade=true replay_protected=false
     introspection: local
     stored_data: sensitive
-    monitor: period_s=1 cpu_base=12 cpu_noise=2 cpu_spike=55
-    compromise: lat=32.0853 lon=34.7818 radius_m=150 ports=22,80,443 interval_ms=40 targets=hub01
-    false_alarm: at_s=300 packets=40
+    monitor: period_s=2 cpu_base=12 cpu_noise=3 cpu_spike=55
+    compromise: lat=32.0853 lon=34.7818 radius_m=150 window=100-400
+    false_alarm: at_s=300 packets=30 gap_ms=70
+
+    device: hub01 type=hub connectivity=ethernet
+    traffic: ttl=128 session_rate=0
+    monitor: mem_base=64e6 mem_noise=1e6 mem_spike=4e6
+    compromise: window=500-600 ports=22,80,443 interval_ms=40 targets=cam01
 """
 
 from __future__ import annotations
@@ -103,15 +118,15 @@ class MonitorSpec:
 @dataclass
 class CompromiseSpec:
     trigger: ContextPredicate
-    probe_ports: tuple[int, ...]
-    probe_interval_ms: float
-    targets: tuple[str, ...]
+    probe_ports: tuple[int, ...] = (21, 22, 23, 80, 443, 8080, 8883, 9100)
+    probe_interval_ms: float = 25.0
+    targets: tuple[str, ...] = ()
 
 
 @dataclass
 class FalseAlarmSpec:
     at_s: float
-    packets: int
+    packets: int = 40
     gap_ms: float = 50.0
 
 
@@ -186,23 +201,6 @@ class DeviceSpec:
                     f"{self.device_id}: bad version {sw.version!r}")
 
 
-# The keys each kind of line takes in its key=value tokens.
-_KEYS = {kind: frozenset(keys.split()) for kind, keys in (
-    ("device", "type connectivity"),
-    ("port", "service banner default_creds crash_on_malformed freshness "
-             "vulnerable_to"),
-    ("os", "up_to_date risk"),
-    ("app", "up_to_date risk"),
-    ("traffic", "size_mean size_stddev gap_ms gap_stddev_ms session_rate ttl"),
-    ("timing_range", "min_ms max_ms"),
-    ("robustness", "ignores_malformed"),
-    ("encryption", "payload accepts_downgrade replay_protected"),
-    ("monitor", "period_s cpu_base cpu_noise cpu_spike mem_base mem_noise "
-                "mem_spike"),
-    ("compromise", "lat lon radius_m window ports interval_ms targets"),
-    ("false_alarm", "at_s packets gap_ms"),
-)}
-
 # A run of anything but shlex's whitespace; \x0b, \xa0 and the like are
 # part of a token to shlex, though str.split() splits on them.
 _WORD = re.compile("[^ \t\r\n]+")
@@ -216,34 +214,6 @@ def _tokens(body: str) -> list[str]:
     return _WORD.findall(body)
 
 
-def _split_kv(tokens: list[str], kind: str,
-              positional: int = 0) -> tuple[list[str], dict[str, str]]:
-    """The positional fields and key=value pairs of a line of `kind`."""
-    keys = _KEYS[kind]
-    pos: list[str] = []
-    kv: dict[str, str] = {}
-    for token in tokens:
-        if "=" in token:
-            key, _, val = token.partition("=")
-            if key not in keys:
-                raise ValueError(f"unknown key {key!r}")
-            kv[key] = val
-        elif len(pos) < positional:
-            pos.append(token)
-        else:
-            raise ValueError(f"unexpected token {token!r}")
-    if len(pos) < positional:
-        raise ValueError(
-            f"expected {positional} positional fields, got {len(pos)}")
-    return pos, kv
-
-
-def _value(tokens: list[str]) -> str:
-    if not tokens:
-        raise ValueError("missing value")
-    return tokens[0]
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p)
 
@@ -252,133 +222,162 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(p for p in text.split(",") if p)
 
 
+def _window(text: str) -> tuple[float, float]:
+    lo, _, hi = text.partition("-")
+    return finite(lo), finite(hi)
+
+
+def _version(text: str) -> str:
+    if not is_version(text):
+        raise ValueError(f"bad version {text!r}")
+    return text
+
+
+def _one_of(what: str, choices: tuple[str, ...]):
+    """A parser that takes only one of choices."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"bad {what} {text!r}")
+        return text
+    return parse
+
+
+def _named(parse, keys: str) -> dict:
+    """key -> (attribute, parse) for keys named as their attributes."""
+    return {key: (key, parse) for key in keys.split()}
+
+
+_SOFTWARE = {0: ("name", str), 1: ("version", _version),
+             **_named(_parse_bool, "up_to_date"), **_named(str, "risk")}
+
+# Each kind of line: its positional field count, the keys it requires, and
+# key -> (attribute, parser), with positional field i under key i.
+_LINES = {
+    "device": (1, (), {0: ("device_id", str), "type": ("device_type", str),
+                       **_named(str, "connectivity")}),
+    "address": (1, (), {0: ("address", str)}),
+    "connectivity": (1, (), {0: ("connectivity", str)}),
+    "port": (1, (), {0: ("number", int),
+                     **_named(str, "service banner default_creds"),
+                     **_named(_parse_bool, "crash_on_malformed freshness"),
+                     **_named(_str_list, "vulnerable_to")}),
+    "os": (2, (), _SOFTWARE),
+    "app": (2, (), _SOFTWARE),
+    "traffic": (0, (), {**_named(finite, "size_mean size_stddev gap_ms "
+                                         "gap_stddev_ms session_rate"),
+                        **_named(integer, "ttl")}),
+    "timing_range": (0, ("min_ms", "max_ms"), {
+        "min_ms": ("timing_min_ms", finite),
+        "max_ms": ("timing_max_ms", finite)}),
+    "robustness": (0, (), _named(_parse_bool, "ignores_malformed")),
+    "encryption": (0, (), {
+        "payload": ("payload_mode",
+                    _one_of("payload mode", ("encrypted", "plaintext"))),
+        **_named(_parse_bool, "accepts_downgrade replay_protected")}),
+    "introspection": (1, (), {0: ("introspection", _one_of(
+        "introspection mode", INTROSPECTION_MODES))}),
+    "stored_data": (1, (), {0: ("stored_data_class", _one_of(
+        "data class", DATA_CLASSES))}),
+    "monitor": (0, (), _named(finite, "period_s cpu_base cpu_noise cpu_spike "
+                                      "mem_base mem_noise mem_spike")),
+    # lat, lon, radius_m and window make the trigger's ContextPredicate
+    "compromise": (0, (), {"lat": ("center_lat", finite),
+                           "lon": ("center_lon", finite),
+                           **_named(finite, "radius_m"),
+                           **_named(_window, "window"),
+                           "ports": ("probe_ports", _int_list),
+                           "interval_ms": ("probe_interval_ms", finite),
+                           **_named(_str_list, "targets")}),
+    "false_alarm": (0, ("at_s",), {**_named(finite, "at_s gap_ms"),
+                                   **_named(int, "packets")}),
+}
+
+
+def _values(kind: str, tokens: list[str]) -> dict:
+    """attribute -> value of each field given on a line of kind.  The
+    line's keys and fields are checked before any value is read; a key
+    given twice keeps its last value."""
+    try:
+        positional, required, fields = _LINES[kind]
+    except KeyError:
+        raise ValueError(f"unknown property {kind!r}") from None
+    keyed = len(fields) > positional       # a value line's value may hold =
+    given: dict = {}
+    n = 0
+    for token in tokens:
+        key, eq, text = token.partition("=")
+        if eq and keyed:
+            if key not in fields:
+                raise ValueError(f"unknown key {key!r}")
+            given[key] = text
+        elif n < positional:
+            given[n] = token
+            n += 1
+        else:
+            raise ValueError(f"unexpected token {token!r}")
+    if n < positional:
+        raise ValueError("missing value" if not keyed else
+                         f"expected {positional} positional fields, got {n}")
+    for key in required:
+        if key not in given:
+            raise KeyError(key)
+    values = {}
+    for key, text in given.items():
+        attr, parse = fields[key]
+        values[attr] = parse(text)
+    return values
+
+
 def load_device_spec(path: str) -> list[DeviceSpec]:
     """The devices declared in the spec file at path."""
     devices: list[DeviceSpec] = []
     lines: dict[str, int] = {}             # device id -> its device: line
     dev: DeviceSpec | None = None
-
-    def need() -> DeviceSpec:
-        if dev is None:
-            raise ValueError("property before any device line")
-        return dev
-
     source = Source(path)
     with source.parsing():
-        for key, body in directives(source):
-            tokens = _tokens(body)
-            if key == "device":
-                pos, kv = _split_kv(tokens, key, positional=1)
-                if pos[0] in lines:
-                    raise ValueError(f"duplicate device {pos[0]!r}")
-                dev = DeviceSpec(device_id=pos[0])
-                dev.device_type = kv.get("type", dev.device_type)
-                dev.connectivity = kv.get("connectivity", dev.connectivity)
+        for kind, body in directives(source):
+            try:
+                tokens = _tokens(body)
+            except ValueError as exc:
+                if str(exc) != "No closing quotation":
+                    raise
+                raise ValueError(f"{exc} (a # starts a comment, also "
+                                 "inside quotes)") from None
+            values = _values(kind, tokens)
+            if kind == "device":
+                if values["device_id"] in lines:
+                    raise ValueError(
+                        f"duplicate device {values['device_id']!r}")
+                dev = DeviceSpec(**values)
                 devices.append(dev)
                 lines[dev.device_id] = source.line
-            elif key == "address":
-                need().address = _value(tokens)
-            elif key == "connectivity":
-                need().connectivity = _value(tokens)
-            elif key == "port":
-                pos, kv = _split_kv(tokens, key, positional=1)
-                port = PortSpec(number=int(pos[0]))
-                port.service = kv.get("service", port.service)
-                port.banner = kv.get("banner", port.banner)
-                port.default_creds = kv.get("default_creds")
-                if "crash_on_malformed" in kv:
-                    port.crash_on_malformed = _parse_bool(kv["crash_on_malformed"])
-                if "freshness" in kv:
-                    port.freshness = _parse_bool(kv["freshness"])
-                if "vulnerable_to" in kv:
-                    port.vulnerable_to = _str_list(kv["vulnerable_to"])
-                d = need()
-                if port.number in d.ports:
+                continue
+            if dev is None:
+                raise ValueError("property before any device line")
+            if kind == "port":
+                port = PortSpec(**values)
+                if port.number in dev.ports:
                     raise ValueError(f"duplicate port {port.number}")
-                d.ports[port.number] = port
-            elif key in ("os", "app"):
-                pos, kv = _split_kv(tokens, key, positional=2)
-                if not is_version(pos[1]):
-                    raise ValueError(f"bad version {pos[1]!r}")
-                sw = SoftwareSpec(name=pos[0], version=pos[1])
-                if "up_to_date" in kv:
-                    sw.up_to_date = _parse_bool(kv["up_to_date"])
-                sw.risk = kv.get("risk", sw.risk)
-                if key == "os":
-                    need().os = sw
-                else:
-                    need().apps.append(sw)
-            elif key == "traffic":
-                _, kv = _split_kv(tokens, key)
-                t = TrafficSpec()
-                for name, val in kv.items():
-                    parse = integer if name == "ttl" else finite
-                    setattr(t, name, parse(val))
-                need().traffic = t
-            elif key == "timing_range":
-                _, kv = _split_kv(tokens, key)
-                need().timing_min_ms = finite(kv["min_ms"])
-                need().timing_max_ms = finite(kv["max_ms"])
-            elif key == "robustness":
-                _, kv = _split_kv(tokens, key)
-                if "ignores_malformed" in kv:
-                    need().ignores_malformed = \
-                        _parse_bool(kv["ignores_malformed"])
-            elif key == "encryption":
-                _, kv = _split_kv(tokens, key)
-                d = need()
-                if "payload" in kv:
-                    if kv["payload"] not in ("encrypted", "plaintext"):
-                        raise ValueError(f"bad payload mode {kv['payload']!r}")
-                    d.payload_mode = kv["payload"]
-                if "accepts_downgrade" in kv:
-                    d.accepts_downgrade = _parse_bool(kv["accepts_downgrade"])
-                if "replay_protected" in kv:
-                    d.replay_protected = _parse_bool(kv["replay_protected"])
-            elif key == "introspection":
-                mode = _value(tokens)
-                if mode not in INTROSPECTION_MODES:
-                    raise ValueError(f"bad introspection mode {mode!r}")
-                need().introspection = mode
-            elif key == "stored_data":
-                cls = _value(tokens)
-                if cls not in DATA_CLASSES:
-                    raise ValueError(f"bad data class {cls!r}")
-                need().stored_data_class = cls
-            elif key == "monitor":
-                _, kv = _split_kv(tokens, key)
-                m = need().monitor
-                for name, val in kv.items():
-                    setattr(m, name, finite(val))
-            elif key == "compromise":
-                _, kv = _split_kv(tokens, key)
-                window_start = window_end = None
-                if "window" in kv:
-                    lo, _, hi = kv["window"].partition("-")
-                    window_start, window_end = finite(lo), finite(hi)
+                dev.ports[port.number] = port
+            elif kind == "os":
+                dev.os = SoftwareSpec(**values)
+            elif kind == "app":
+                dev.apps.append(SoftwareSpec(**values))
+            elif kind == "traffic":
+                dev.traffic = TrafficSpec(**values)
+            elif kind == "compromise":
+                lo, hi = values.pop("window", (None, None))
                 trigger = ContextPredicate(
-                    center_lat=finite(kv["lat"]) if "lat" in kv else None,
-                    center_lon=finite(kv["lon"]) if "lon" in kv else None,
-                    radius_m=finite(kv["radius_m"]) if "radius_m" in kv else None,
-                    window_start=window_start,
-                    window_end=window_end,
-                )
-                need().compromise = CompromiseSpec(
-                    trigger=trigger,
-                    probe_ports=_int_list(
-                        kv.get("ports", "21,22,23,80,443,8080,8883,9100")),
-                    probe_interval_ms=finite(kv.get("interval_ms", "25")),
-                    targets=_str_list(kv.get("targets", "")),
-                )
-            elif key == "false_alarm":
-                _, kv = _split_kv(tokens, key)
-                need().false_alarm = FalseAlarmSpec(
-                    at_s=finite(kv["at_s"]),
-                    packets=int(kv.get("packets", "40")),
-                    gap_ms=finite(kv.get("gap_ms", "50")),
-                )
+                    values.pop("center_lat", None),
+                    values.pop("center_lon", None),
+                    values.pop("radius_m", None), lo, hi)
+                dev.compromise = CompromiseSpec(trigger, **values)
+            elif kind == "false_alarm":
+                dev.false_alarm = FalseAlarmSpec(**values)
             else:
-                raise ValueError(f"unknown property {key!r}")
+                target = dev.monitor if kind == "monitor" else dev
+                for attr, value in values.items():
+                    setattr(target, attr, value)
         if not devices:
             raise ValueError("no devices declared")
         for d in devices:

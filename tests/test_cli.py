@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import threading
 import time
 
@@ -12,7 +13,7 @@ from iotbed.cli import build_parser, main
 from iotbed.orchestrator import read_report_fields
 from iotbed.profiler import Leaf, StatModel, save_model
 from iotbed.simnet import MemoryNetwork, write_capture
-from iotbed.simnet.devspec import load_device_spec
+from iotbed.simnet.devspec import _LINES, load_device_spec
 from iotbed.trace import read_trace
 
 RUN_SCENARIO = """\
@@ -623,3 +624,9 @@ def test_parser_rejects_unknown_backend():
 def test_parser_requires_a_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_help_names_every_device_spec_line():
+    text = build_parser().format_help()
+    block = text[text.index("device spec (.dev)"):text.index("context script")]
+    assert set(_LINES) <= set(re.findall(r"(\w+):", block))

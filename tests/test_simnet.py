@@ -28,8 +28,10 @@ from iotbed.simnet.context import (
     haversine_m,
     load_trajectory,
 )
-from iotbed.simnet.devspec import (DeviceSpec, SoftwareSpec, _tokens,
-                                   load_device_spec)
+from iotbed.simnet import devspec
+from iotbed.simnet.devspec import (CompromiseSpec, DeviceSpec, FalseAlarmSpec,
+                                   MonitorSpec, PortSpec, SoftwareSpec,
+                                   TrafficSpec, _tokens, load_device_spec)
 from iotbed.simnet.loopnet import (FRAME_HEAD, REQUEST_TIMEOUT_S,
                                   LoopbackNetwork)
 from iotbed.simnet.memnet import SCAN_STEP_S, MemoryNetwork, ProxyMutator
@@ -142,11 +144,25 @@ def test_bad_property_values_rejected(tmp_path):
         load_text(load_device_spec,
                   "device: d type=server\n\naddress:   # none given\n",
                   tmp_path)
-    # shlex's own errors, at the line of the bad quote or escape
+    # a value line takes exactly one value
+    for line, token in (("stored_data: sensitive junk", "junk"),
+                        ("connectivity: zigbee extra", "extra")):
+        with pytest.raises(AnalysisError, match=input_at(tmp_path, 2)
+                           + f"unexpected token '{token}'"):
+            load_text(load_device_spec, f"device: d type=server\n{line}\n",
+                      tmp_path)
+    # shlex's own errors, at the line of the bad quote or escape; the
+    # comment cut at a # inside quotes leaves the quote open
     with pytest.raises(AnalysisError,
                        match=input_at(tmp_path, 2) + "No closing quotation"):
         load_text(load_device_spec,
                   "device: d type=server\nport: 80 banner=\"abc\n", tmp_path)
+    with pytest.raises(AnalysisError, match=input_at(tmp_path, 2) + re.escape(
+            "No closing quotation (a # starts a comment, also inside "
+            "quotes)")):
+        load_text(load_device_spec,
+                  "device: d type=server\nport: 80 banner=\"web #1\"\n",
+                  tmp_path)
     with pytest.raises(AnalysisError,
                        match=input_at(tmp_path, 4) + "No escaped character"):
         load_text(load_device_spec,
@@ -201,6 +217,59 @@ def test_unknown_key_rejected_at_its_line(tmp_path, line):
         load_text(load_device_spec,
                   f"device: d type=server connectivity=ethernet\n{line}\n",
                   tmp_path)
+
+
+def test_docstring_example_loads_to_its_spec():
+    # The example uses every kind of line and every key, each key at a
+    # value other than its default, so a key read into the wrong attribute
+    # fails here.
+    example = "".join(line[4:] + "\n" for line in devspec.__doc__.splitlines()
+                      if line.startswith("    "))
+    used = {kind: set() for kind in devspec._LINES}
+    for line in example.splitlines():
+        kind, _, body = line.partition(":")
+        used[kind].update(token.partition("=")[0]
+                          for token in shlex.split(body) if "=" in token)
+    assert used == {kind: {key for key in fields if isinstance(key, str)}
+                    for kind, (_, _, fields) in devspec._LINES.items()}
+    assert load_text(load_device_spec, example) == [
+        DeviceSpec(
+            device_id="cam01", device_type="ip_camera", address="10.0.0.11",
+            connectivity="lte",
+            ports={
+                80: PortSpec(number=80, service="http",
+                             banner="lighttpd 1.4.35",
+                             default_creds="admin:admin"),
+                81: PortSpec(number=81, service="http-alt",
+                             crash_on_malformed=True),
+                443: PortSpec(number=443, service="https", freshness=False,
+                              vulnerable_to=("probe_hb", "probe_ccs")),
+            },
+            os=SoftwareSpec(name="linux", version="3.18", up_to_date=False,
+                            risk="critical"),
+            apps=[SoftwareSpec(name="camsrv", version="2.1",
+                               up_to_date=False, risk="major")],
+            traffic=TrafficSpec(size_mean=512, size_stddev=96, gap_ms=80,
+                                gap_stddev_ms=18),
+            timing_min_ms=60, timing_max_ms=220, ignores_malformed=True,
+            payload_mode="plaintext", accepts_downgrade=True,
+            replay_protected=False, introspection="local",
+            stored_data_class="sensitive",
+            monitor=MonitorSpec(period_s=2, cpu_base=12, cpu_noise=3,
+                                cpu_spike=55),
+            compromise=CompromiseSpec(trigger=ContextPredicate(
+                center_lat=32.0853, center_lon=34.7818, radius_m=150,
+                window_start=100, window_end=400)),
+            false_alarm=FalseAlarmSpec(at_s=300, packets=30, gap_ms=70)),
+        DeviceSpec(
+            device_id="hub01", device_type="hub", connectivity="ethernet",
+            traffic=TrafficSpec(ttl=128, session_rate=0),
+            monitor=MonitorSpec(mem_base=64e6, mem_noise=1e6, mem_spike=4e6),
+            compromise=CompromiseSpec(
+                trigger=ContextPredicate(window_start=500, window_end=600),
+                probe_ports=(22, 80, 443), probe_interval_ms=40,
+                targets=("cam01",))),
+    ]
 
 
 def test_device_line_sets_connectivity():
