@@ -1,16 +1,18 @@
 """Forensic analysis: baselines, anomaly detection, context correlation.
 
-window_series folds capture records and internal-status samples into the
-full, non-overlapping windows of virtual time between two instants; it is
-the one place the window grid is decided.  Each channel reduces a window to
-one statistic (network: record count, cpu: max cpu_pct, memory: max
-mem_bytes, filesystem: event count).  build_baseline takes the per-channel
-mean and stddev of one series (at least 3 windows); detect_anomalies marks
-a window of another series anomalous on a channel when its statistic
-exceeds mean + max(k * stddev, floor), and merges adjacent anomalous
-windows into a single event.  correlate turns network anomalies into
-findings, located in space and time through the context log, and
-classified attack only when an internal-status anomaly corroborates them.
+CHANNELS is the detector: one row per channel gives its source (capture
+records or status samples), what one record or sample adds to its window,
+how two such values merge (add or max, from 0.0), its floor, and whether
+it corroborates an attack.  window_series folds every record and sample
+into its window through those rules; it alone decides the grid of full,
+non-overlapping windows between two instants.  build_baseline takes the
+per-channel mean and stddev of one series (at least 3 windows);
+detect_anomalies marks a window of another series anomalous on a channel
+when its statistic exceeds mean + max(k * stddev, floor), and merges
+adjacent anomalous windows into a single event.  correlate turns the
+anomalies of capture channels into findings, located in space and time
+through the context log, and classified attack only when an anomaly of a
+corroborating channel backs them up.
 
 Everything here is a pure function over immutable captured data.
 """
@@ -18,24 +20,35 @@ Everything here is a pure function over immutable captured data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, attrgetter
 from statistics import fmean
+from typing import Callable
 
 from .errors import AnalysisError
 from .profiler.features import pstdev
 from .records import dumps, finite, load
 
-CHANNELS = ("network", "cpu", "memory", "filesystem")
+CAPTURE, STATUS = "capture", "status"       # a channel's source
+
+
+@dataclass(frozen=True)
+class Channel:
+    source: str                             # CAPTURE or STATUS
+    value: Callable                         # what one record or sample adds
+    merge: Callable[[float, float], float]  # add or max, from 0.0
+    floor: float          # keeps near-zero-stddev baselines quiet on noise
+    corroborates: bool    # its anomalies make a network finding an attack
+
+
+CHANNELS = {
+    "network": Channel(CAPTURE, lambda rec: 1, add, 10.0, False),
+    "cpu": Channel(STATUS, attrgetter("cpu_pct"), max, 5.0, True),
+    "memory": Channel(STATUS, attrgetter("mem_bytes"), max, 4e6, True),
+    "filesystem": Channel(STATUS, attrgetter("fs_events"), add, 5.0, False),
+}
 
 DEFAULT_WINDOW_S = 5.0
 DEFAULT_K = 3.0
-
-# Absolute floors keep near-zero-stddev baselines from flagging noise.
-DEFAULT_FLOORS = {
-    "network": 10.0,      # records per window
-    "cpu": 5.0,           # cpu_pct
-    "memory": 4e6,        # bytes
-    "filesystem": 5.0,    # events per window
-}
 
 NETWORK_ONLY = "network_only"
 NETWORK_PLUS_STATUS = "network_plus_status"
@@ -88,28 +101,15 @@ def window_series(capture, status_series, window_s: float,
     if window_s <= 0:
         raise AnalysisError("window_s must be positive")
     n_windows = int((t_end - t_begin) // window_s)
-    out = [{c: 0.0 for c in CHANNELS} for _ in range(n_windows)]
-    cpu: list[list[float]] = [[] for _ in range(n_windows)]
-    mem: list[list[float]] = [[] for _ in range(n_windows)]
-
-    def index(ts: float) -> int | None:
-        i = int((ts - t_begin) // window_s)
-        return i if 0 <= i < n_windows else None
-
-    for rec in capture:
-        i = index(rec.ts)
-        if i is not None:
-            out[i]["network"] += 1
-    for sample in status_series:
-        i = index(sample.ts)
-        if i is None:
-            continue
-        cpu[i].append(sample.cpu_pct)
-        mem[i].append(sample.mem_bytes)
-        out[i]["filesystem"] += sample.fs_events
-    for i in range(n_windows):
-        out[i]["cpu"] = max(cpu[i]) if cpu[i] else 0.0
-        out[i]["memory"] = max(mem[i]) if mem[i] else 0.0
+    out = [dict.fromkeys(CHANNELS, 0.0) for _ in range(n_windows)]
+    for source, items in ((CAPTURE, capture), (STATUS, status_series)):
+        rows = [(name, c.value, c.merge) for name, c in CHANNELS.items()
+                if c.source == source]
+        for item in items:
+            i = int((item.ts - t_begin) // window_s)
+            if 0 <= i < n_windows:
+                for name, value, merge in rows:
+                    out[i][name] = merge(out[i][name], value(item))
     return out
 
 
@@ -153,9 +153,9 @@ def detect_anomalies(series: list[dict[str, float]], t_begin: float,
         raise AnalysisError("k must be positive")
     w = baseline.window_s
     events = []
-    for channel in CHANNELS:
+    for channel, spec in CHANNELS.items():
         mean, stddev = baseline.stats[channel]
-        threshold = mean + max(k * stddev, DEFAULT_FLOORS[channel])
+        threshold = mean + max(k * stddev, spec.floor)
         for i, window in enumerate(series):
             value = window[channel]
             if value > threshold:
@@ -169,18 +169,18 @@ def detect_anomalies(series: list[dict[str, float]], t_begin: float,
 
 def correlate(anomalies: list[AnomalyEvent], context_log,
               window_s: float = DEFAULT_WINDOW_S) -> list[AttackFinding]:
-    """Turn every network anomaly into a located, classified finding.
+    """Turn every capture-channel anomaly into a located, classified finding.
 
     Locations are only ever copied from context_log entries, never
-    interpolated.  A cpu or memory anomaly overlapping the network window
-    (with one window of slack either side) upgrades the finding to a
-    corroborated attack.
+    interpolated.  An anomaly of a corroborating channel overlapping the
+    network window (with one window of slack either side) upgrades the
+    finding to a corroborated attack.
     """
     events = sorted(context_log, key=lambda e: e.t)
-    status = [a for a in anomalies if a.channel in ("cpu", "memory")]
+    status = [a for a in anomalies if CHANNELS[a.channel].corroborates]
     findings = []
     for anomaly in anomalies:
-        if anomaly.channel != "network":
+        if CHANNELS[anomaly.channel].source != CAPTURE:
             continue
         midpoint = (anomaly.t_start + anomaly.t_end) / 2.0
         nearest = min(events, key=lambda e: (abs(e.t - midpoint), e.t)) \

@@ -294,15 +294,17 @@ _LINES = {
 
 
 def _values(kind: str, tokens: list[str]) -> dict:
-    """attribute -> value of each field given on a line of kind.  The
-    line's keys and fields are checked before any value is read; a key
-    given twice keeps its last value."""
+    """attribute -> value of each field given on a line of kind.  Each
+    positional field is read as it is met, so a bad one is named before
+    any token after it; keyed values are read once the whole line is
+    checked, so a key given twice keeps its last value."""
     try:
         positional, required, fields = _LINES[kind]
     except KeyError:
         raise ValueError(f"unknown property {kind!r}") from None
     keyed = len(fields) > positional       # a value line's value may hold =
     given: dict = {}
+    values = {}
     n = 0
     for token in tokens:
         key, eq, text = token.partition("=")
@@ -311,7 +313,8 @@ def _values(kind: str, tokens: list[str]) -> dict:
                 raise ValueError(f"unknown key {key!r}")
             given[key] = text
         elif n < positional:
-            given[n] = token
+            attr, parse = fields[n]
+            values[attr] = parse(token)
             n += 1
         else:
             raise ValueError(f"unexpected token {token!r}")
@@ -321,7 +324,6 @@ def _values(kind: str, tokens: list[str]) -> dict:
     for key in required:
         if key not in given:
             raise KeyError(key)
-    values = {}
     for key, text in given.items():
         attr, parse = fields[key]
         values[attr] = parse(text)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from ..records import finite, load_lines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternalStatusSample:
     ts: float
     device_id: str

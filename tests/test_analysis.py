@@ -9,7 +9,7 @@ from iotbed.analysis import (
     ATTACK,
     AnomalyEvent,
     AttackFinding,
-    DEFAULT_FLOORS,
+    CHANNELS,
     NETWORK_ONLY,
     NETWORK_PLUS_STATUS,
     POSSIBLE_FALSE_ALARM,
@@ -49,14 +49,18 @@ def ctx(t, lat=32.0, lon=34.0):
 
 def test_window_series_per_channel_oracle():
     capture = [rec(t) for t in (0.1, 0.2, 4.9, 5.0, 9.9, 12.0)]
-    status = [sample(1.0, cpu=20, mem=5e6, fs=1),
-              sample(2.0, cpu=50, mem=2e6, fs=2),
-              sample(7.0, cpu=30, mem=9e6, fs=0)]
+    status = [sample(1.0, cpu=20.0, mem=5e6, fs=1),
+              sample(2.0, cpu=50.0, mem=2e6, fs=2),
+              sample(7.0, cpu=30.0, mem=9e6, fs=0)]
     series = window_series(capture, status, 5.0, 0.0, 15.0)
     assert [w["network"] for w in series] == [3, 2, 1]
     assert series[0]["cpu"] == 50 and series[1]["cpu"] == 30
     assert series[0]["memory"] == 5e6 and series[1]["memory"] == 9e6
     assert series[0]["filesystem"] == 3 and series[2]["filesystem"] == 0
+    # counts start from 0.0, so windows.rec reads 3.0, never 3; maxima
+    # are the samples' own floats
+    assert all(type(value) is float
+               for window in series for value in window.values())
 
 
 def test_window_series_ignores_out_of_range():
@@ -155,7 +159,7 @@ def test_cpu_memory_channels_detect_spikes():
     status = [sample(t + 0.5, cpu=10, mem=1e6) for t in range(30)]
     baseline = build_baseline(window_series([], status, 5.0, 0.0, 30.0),
                               5.0)
-    spiky = [sample(36.0, cpu=80, mem=1e6 + DEFAULT_FLOORS["memory"] + 1e6)]
+    spiky = [sample(36.0, cpu=80, mem=1e6 + CHANNELS["memory"].floor + 1e6)]
     events = detect([], spiky, baseline, 30.0, 45.0)
     channels = {e.channel for e in events}
     assert channels == {"cpu", "memory"}

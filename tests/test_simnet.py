@@ -151,6 +151,12 @@ def test_bad_property_values_rejected(tmp_path):
                            + f"unexpected token '{token}'"):
             load_text(load_device_spec, f"device: d type=server\n{line}\n",
                       tmp_path)
+    # a bad positional field is named, not the valid token after it
+    for line in ("port: junk 80 service=http", "app: camsrv junk 2.1"):
+        with pytest.raises(AnalysisError,
+                           match=input_at(tmp_path, 2) + ".*'junk'$"):
+            load_text(load_device_spec, f"device: d type=server\n{line}\n",
+                      tmp_path)
     # shlex's own errors, at the line of the bad quote or escape; the
     # comment cut at a # inside quotes leaves the quote open
     with pytest.raises(AnalysisError,
