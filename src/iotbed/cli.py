@@ -24,9 +24,9 @@ from .profiler import (TrainParams, confusion_matrix, extract_features,
                        save_model, train_model)
 from .records import load
 from .scenario import load_scenario
-from .sectests import (ci_exit_code, format_score, human_grade,
-                       load_attack_db, load_score_list, load_vuln_db,
-                       parse_ports, score_ports)
+from .sectests import (assessment_pairs, ci_exit_code, load_attack_db,
+                       load_score_list, load_vuln_db, parse_ports,
+                       render_assessment, score_ports)
 from .simnet import BACKENDS, load_device_spec, read_capture
 
 FORMATS_HELP = """\
@@ -188,18 +188,8 @@ def cmd_scan(args, config: CliConfig) -> int:
     finally:
         net.shutdown()
     assessment = score_ports([p for p, _ in found], score_list)
-    print(f"Overall Results ({spec.device_id})")
-    print(f"  Open ports: "
-          f"{','.join(str(p) for p in assessment.open_ports) or '-'}")
-    for entry in assessment.scored:
-        print(f"    {entry.port:>6}  {entry.description} "
-              f"with Score: {format_score(entry.score)}")
-    if assessment.unscored:
-        print("  Unscored ports: "
-              + ",".join(str(p) for p in assessment.unscored))
-    print("Metric Score")
-    print(f"  Total: {format_score(assessment.total_score)}")
-    print(f"  Risk Level: {human_grade(assessment.risk_level)}")
+    print("\n".join(render_assessment(spec.device_id,
+                                      dict(assessment_pairs(assessment)))))
     return ci_exit_code(assessment.risk_level)
 
 

@@ -41,9 +41,9 @@ from .profiler import (ProfileDistribution, load_model, profile_device,
                        profile_pairs)
 from .records import Source, dumps, load
 from .sectests import (CLEAN_GRADES, FAILED_GRADES, PLUGINS, Grade,
-                       PluginContext, RawResult, Verdict, ci_exit_code,
-                       format_score, highest_risk, human_grade, judge,
-                       score_ports)
+                       PluginContext, RawResult, Verdict, assessment_pairs,
+                       ci_exit_code, highest_risk, human_grade, judge,
+                       render_assessment, score_ports)
 from .simnet import (BACKENDS, load_device_spec, load_trajectory,
                      write_capture, write_status)
 from .trace import TraceLog
@@ -566,14 +566,9 @@ class ScenarioRunner:
                  if raw.kind == "port_risk"]
         f.append(("portscan.count", str(len(scans))))
         for i, (test_name, scan) in enumerate(scans):
-            p = f"portscan.{i}"
-            f.append((f"{p}.test", test_name))
-            f.append((f"{p}.open", ",".join(map(str, scan.open_ports))))
-            f += [(f"{p}.entry.{entry.port}",
-                   f"{format_score(entry.score)}|{entry.description}")
-                  for entry in scan.scored]
-            f.append((f"{p}.total", format_score(scan.total_score)))
-            f.append((f"{p}.level", scan.risk_level.value))
+            f.append((f"portscan.{i}.test", test_name))
+            f += [(f"portscan.{i}.{key}", value)
+                  for key, value in assessment_pairs(scan)]
         verdicts = [r.verdict for r in phases[0] + phases[1]]
         top = highest_risk(verdicts)
         f += [("overall.pass",
@@ -656,18 +651,7 @@ def render_report(fields: list[tuple[str, str]]) -> str:
     out.append("")
     n_scans = int(d.get("portscan.count", "0"))
     for i in range(n_scans):
-        p = f"portscan.{i}"
-        out.append(f"Overall Results ({d[f'{p}.test']})")
-        out.append(f"  Open ports: {d[f'{p}.open'] or '-'}")
-        for key, value in d.items():
-            if key.startswith(f"{p}.entry."):
-                port = key.rsplit(".", 1)[1]
-                score, _, description = value.partition("|")
-                out.append(f"    {port:>6}  {description} "
-                           f"with Score: {score}")
-        out.append("Metric Score")
-        out.append(f"  Total: {d[f'{p}.total']}")
-        out.append(f"  Risk Level: {human_grade(Grade(d[f'{p}.level']))}")
+        out += render_assessment(d[f"portscan.{i}.test"], d, f"portscan.{i}.")
         out.append("")
     out.append("Overall Results")
     out.append(f"  Pass: {d['overall.pass']}  Fail: {d['overall.fail']}")

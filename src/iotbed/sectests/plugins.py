@@ -19,8 +19,7 @@ from typing import Callable
 
 from ..errors import AnalysisError, TransportError, ValidationError
 from ..model import param_count, param_number
-from .portrisk import (PortScoreEntry, format_score, parse_ports,
-                       score_ports)
+from .portrisk import format_score, parse_ports, score_ports
 from .verdict import Grade, Verdict
 from .vulndb import AttackProbe, VulnRecord, match_vulnerabilities
 
@@ -452,7 +451,6 @@ def judge_replay(raw: RawResult, criteria: dict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def measure_delay(ctx: PluginContext) -> RawResult:
-    from ..simnet.memnet import ProxyMutator
     spec = ctx.handle.spec
     if spec.timing_min_ms is None or spec.timing_max_ms is None:
         raise AnalysisError("delay: timing_normal_range unknown")
@@ -461,7 +459,7 @@ def measure_delay(ctx: PluginContext) -> RawResult:
         raise AnalysisError("delay: no service to transact with")
     delay_ms = param_number(ctx.criteria, "delay_ms", 0)
     n = param_count(ctx.criteria, "transactions", 8)
-    ctx.net.proxy(ctx.device_id, ProxyMutator(delay_ms=delay_ms))
+    ctx.net.proxy(ctx.device_id, delay_ms=delay_ms)
     try:
         conn = ctx.net.connect(ctx.initiator, ctx.device_id, port)
         if conn is None:
@@ -509,14 +507,13 @@ def judge_delay(raw: RawResult, criteria: dict) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def measure_tamper(ctx: PluginContext) -> RawResult:
-    from ..simnet.memnet import ProxyMutator
     spec = ctx.handle.spec
     port = _pick_port(spec)
     if port is None:
         raise AnalysisError("tamper: no service to transact with")
     rate = param_number(ctx.criteria, "corrupt_rate", 0.1)
     n = param_count(ctx.criteria, "transactions", 20)
-    ctx.net.proxy(ctx.device_id, ProxyMutator(corrupt_rate=rate))
+    ctx.net.proxy(ctx.device_id, corrupt_rate=rate)
     answered = 0
     sent = 0
     try:

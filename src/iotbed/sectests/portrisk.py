@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..records import finite
-from .verdict import Grade
+from .verdict import Grade, human_grade
 from .vulndb import _read_csv
 
 
@@ -115,3 +115,35 @@ def score_ports(open_ports: list[int],
         total = int(total)
     return RiskAssessment(open_ports=ports, scored=scored, unscored=unscored,
                           total_score=total, risk_level=risk_level(total))
+
+
+def assessment_pairs(assessment: RiskAssessment) -> list[tuple[str, str]]:
+    """One scan's report.rec (key, value) pairs, without the run's prefix."""
+    return [("open", ",".join(map(str, assessment.open_ports))),
+            *((f"entry.{entry.port}",
+               f"{format_score(entry.score)}|{entry.description}")
+              for entry in assessment.scored),
+            ("total", format_score(assessment.total_score)),
+            ("level", assessment.risk_level.value)]
+
+
+def render_assessment(title: str, fields, prefix: str = "") -> list[str]:
+    """The "Overall Results" lines of one scan, from a mapping that holds
+    its assessment_pairs under prefix.  Unscored ports are the open ports
+    that have no entry."""
+    opened = fields[f"{prefix}open"]
+    out = [f"Overall Results ({title})", f"  Open ports: {opened or '-'}"]
+    entry = f"{prefix}entry."
+    for key, value in fields.items():
+        if key.startswith(entry):
+            score, _, description = value.partition("|")
+            out.append(f"    {key[len(entry):]:>6}  {description} "
+                       f"with Score: {score}")
+    unscored = [port for port in opened.split(",")
+                if port and entry + port not in fields]
+    if unscored:
+        out.append(f"  Unscored ports: {','.join(unscored)}")
+    out += ["Metric Score",
+            f"  Total: {fields[f'{prefix}total']}",
+            f"  Risk Level: {human_grade(Grade(fields[f'{prefix}level']))}"]
+    return out

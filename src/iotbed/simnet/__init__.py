@@ -6,7 +6,7 @@ from .context import (ContextEvent, ContextFeed, ContextPredicate, Day,
                       load_trajectory)
 from .devspec import DeviceSpec, load_device_spec
 from .loopnet import LoopbackNetwork
-from .memnet import DeviceHandle, MemoryNetwork, ProxyMutator
+from .memnet import DeviceHandle, MemoryNetwork
 from .status import InternalStatusSample, read_status, write_status
 
 # Transport backends by the name --backend, config files and RunOptions use.
@@ -20,6 +20,6 @@ __all__ = [
     "load_trajectory",
     "DeviceSpec", "load_device_spec",
     "LoopbackNetwork",
-    "DeviceHandle", "MemoryNetwork", "ProxyMutator",
+    "DeviceHandle", "MemoryNetwork",
     "InternalStatusSample", "read_status", "write_status",
 ]

@@ -47,62 +47,31 @@ CLOUD_PORT = 8883
 NOISE_PORT = 9090
 
 
-@dataclass
-class ProxyMutator:
-    """What a proxy does to traffic; all-zero values are the identity."""
-
-    delay_ms: float = 0.0
-    corrupt_rate: float = 0.0   # fraction of records receiving bit errors
-    drop_rate: float = 0.0      # fraction of records silently discarded
-
-
-class _PathState:
-    """Deterministic rate accounting for one proxy direction."""
-
-    def __init__(self):
-        self.corrupt_acc = 0.0
-        self.drop_acc = 0.0
-
-    def should_drop(self, rate: float) -> bool:
-        self.drop_acc += rate
-        if self.drop_acc >= 1.0:
-            self.drop_acc -= 1.0
-            return True
-        return False
-
-    def should_corrupt(self, rate: float) -> bool:
-        self.corrupt_acc += rate
-        if self.corrupt_acc >= 1.0:
-            self.corrupt_acc -= 1.0
-            return True
-        return False
-
-
-def _flip_bits(data: bytes) -> bytes:
-    if not data:
-        return data
-    out = bytearray(data)
-    out[0] ^= 0x80
-    out[len(out) // 2] ^= 0x01
-    return bytes(out)
-
-
-def _mutate(path: _PathState, mutator: ProxyMutator,
-            data: bytes) -> bytes | None:
-    """One frame through one proxy direction; None when it is dropped."""
-    if path.should_drop(mutator.drop_rate):
-        return None
-    if path.should_corrupt(mutator.corrupt_rate):
-        return _flip_bits(data)
-    return data
-
-
 class _Proxy:
-    def __init__(self, mutator: ProxyMutator):
-        self.mutator = mutator
-        self.request_path = _PathState()
-        self.response_path = _PathState()
-        self.background_path = _PathState()
+    """What a proxy does to one device's traffic: delays each reply and
+    background frame by delay_ms, and flips bits in a corrupt_rate share of
+    frames.  Each direction (request, response, background) keeps its own
+    accumulator: a frame adds the rate, and corruption is due once it reaches
+    1.0, so the same frames are corrupted on every run."""
+
+    def __init__(self, delay_ms: float, corrupt_rate: float):
+        self.delay_s = delay_ms / 1000.0
+        self.corrupt_rate = corrupt_rate
+        self.acc = {"request": 0.0, "response": 0.0, "background": 0.0}
+
+    def corrupt(self, path: str, data: bytes) -> bytes:
+        """data as it leaves the proxy along path."""
+        acc = self.acc[path] + self.corrupt_rate
+        if acc < 1.0:
+            self.acc[path] = acc
+            return data
+        self.acc[path] = acc - 1.0
+        if not data:
+            return data
+        out = bytearray(data)
+        out[0] ^= 0x80
+        out[len(out) // 2] ^= 0x01
+        return bytes(out)
 
 
 def _ephemeral_ports(first: int):
@@ -196,19 +165,17 @@ class _DeviceActor:
         def fire():
             if not self.state.alive:
                 return
-            data = payload
             proxy = self.net.proxy_for(self.spec.device_id)
-            if proxy is not None:
-                data = _mutate(proxy.background_path, proxy.mutator, data)
-                if data is None:
-                    return
-                if proxy.mutator.delay_ms > 0:
-                    delayed = data
-                    self.net.clock.schedule(
-                        proxy.mutator.delay_ms / 1000.0,
-                        lambda: self._emit_now(src_port, delayed, kind, dst_port))
-                    return
-            self._emit_now(src_port, data, kind, dst_port)
+            if proxy is None:
+                self._emit_now(src_port, payload, kind, dst_port)
+                return
+            data = proxy.corrupt("background", payload)
+            if proxy.delay_s > 0:
+                self.net.clock.schedule(
+                    proxy.delay_s,
+                    lambda: self._emit_now(src_port, data, kind, dst_port))
+            else:
+                self._emit_now(src_port, data, kind, dst_port)
         return fire
 
     def _emit_now(self, src_port: int, data: bytes, kind: str,
@@ -332,27 +299,23 @@ class MemConnection:
         self.closed = False
 
     def request(self, data: bytes, kind: str = "request") -> bytes | None:
-        """Send one request; returns the reply or None on silence/loss."""
+        """Send one request; returns the reply or None on silence."""
         if self.closed:
             raise TransportError("connection closed")
         net = self.net
         proxy = net.proxy_for(self.dst)
         if proxy is not None:
-            data = _mutate(proxy.request_path, proxy.mutator, data)
-            if data is None:
-                net.clock.advance(RTT_S)
-                return None
+            data = proxy.corrupt("request", data)
         net.emit(src=self.src, src_port=self.src_port, dst=self.dst,
                  dst_port=self.dst_port, ttl=64, kind=kind, payload=data)
         net.clock.advance(RTT_S / 2)
         reply = net._exchange(self, data)
-        if reply is not None and proxy is not None:
-            reply = _mutate(proxy.response_path, proxy.mutator, reply)
         if reply is None:
             net.clock.advance(RTT_S / 2)
             return None
-        delay_s = 0.0 if proxy is None else proxy.mutator.delay_ms / 1000.0
-        net.clock.advance(RTT_S / 2 + delay_s)
+        if proxy is not None:
+            reply = proxy.corrupt("response", reply)
+        net.clock.advance(RTT_S / 2 + (proxy.delay_s if proxy else 0.0))
         net.emit(src=self.dst, src_port=self.dst_port, dst=self.src,
                  dst_port=self.src_port, ttl=net.actors[self.dst].ttl(),
                  kind="response", payload=reply)
@@ -454,11 +417,13 @@ class MemoryNetwork:
             self.feed.publish(event)
 
     # -- proxy -----------------------------------------------------------
-    def proxy(self, device_id: str, mutator: ProxyMutator) -> None:
+    def proxy(self, device_id: str, delay_ms: float = 0.0,
+              corrupt_rate: float = 0.0) -> None:
+        """Put a proxy between the device and everyone else; see _Proxy."""
         self._actor(device_id)
         if device_id in self._proxies:
             raise TransportError(f"device {device_id!r} already proxied")
-        self._proxies[device_id] = _Proxy(mutator)
+        self._proxies[device_id] = _Proxy(delay_ms, corrupt_rate)
 
     def unproxy(self, device_id: str) -> None:
         self._proxies.pop(device_id, None)

@@ -134,11 +134,15 @@ def test_report_rerenders_byte_for_byte(files, capsys):
 # -- seeded corruption --------------------------------------------------------
 
 
+# values a reader must reject or read cleanly wherever they stand
+HARSH_VALUES = ("", "-1", "1e309", "\0", "9" * 5000, "{", '"')
+
+
 def mutations(text: str, seed: int, n: int = 20) -> list[str]:
-    """Truncate at a byte, drop a line, delete an =, or set a value to x;
-    in a file with no = the comma before a value (a CSV, whose values end
+    """n of: truncate at a byte, drop a line, delete an =, or set a value to
+    x; in a file with no = the comma before a value (a CSV, whose values end
     at a comma too), or else the space (a trajectory), stands in for the
-    =."""
+    =.  Then each of HARSH_VALUES set at a value, and a line repeated."""
     rng = random.Random(seed)
     lines = text.splitlines(keepends=True)
     sep = next((ch for ch in "=," if ch in text), " ")
@@ -147,6 +151,12 @@ def mutations(text: str, seed: int, n: int = 20) -> list[str]:
     values = [i + 1 for i, ch in enumerate(text) if ch == "="] + \
         [i + 2 for i in range(len(text) - 1) if text[i:i + 2] == ": "] or \
         [i + 1 for i in equals]
+
+    def set_value(value):
+        start = end = rng.choice(values)
+        while end < len(text) and text[end] not in ends:
+            end += 1
+        return text[:start] + value + text[end:]
     out = []
     for i in range(n):
         how = i % 4
@@ -159,10 +169,10 @@ def mutations(text: str, seed: int, n: int = 20) -> list[str]:
             at = rng.choice(equals)
             out.append(text[:at] + text[at + 1:])
         else:
-            start = end = rng.choice(values)
-            while end < len(text) and text[end] not in ends:
-                end += 1
-            out.append(text[:start] + "x" + text[end:])
+            out.append(set_value("x"))
+    out += [set_value(value) for value in HARSH_VALUES]
+    twice = rng.randrange(len(lines))
+    out.append("".join(lines[:twice + 1] + lines[twice:]))
     return out
 
 
@@ -268,7 +278,7 @@ def input_rejected(what, path) -> bool:
 @pytest.mark.filterwarnings("ignore:training set has a single class")
 def test_corrupted_files_exit_2_or_read_cleanly(files, tmp_path, capsys):
     cases = fuzz_cases(files, tmp_path)
-    assert len(cases) == 10 * 20 + 4 * 8
+    assert len(cases) == 10 * 28 + 4 * 16
     outcomes = set()
     for what, _, use, path in cases:
         if what in ("status", "findings"):
