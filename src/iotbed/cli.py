@@ -37,11 +37,11 @@ file formats:
                       use: TEMPLATE (TEMPLATE.test: action: lines only);
                       option keys: devices, dut, baseline_s, window_s, k,
                       profile_model, criteria.<test>.<param>
-  device spec (.dev)  device: ID k=v ... followed by address:/connectivity:/
-                      port:/os:/app:/traffic:/timing_range:/robustness:/
-                      encryption:/introspection:/stored_data:/monitor:/
-                      compromise:/false_alarm: lines
-  context script      one event per line: "<t> <lat> <lon> [day]", strictly
+  device spec (.dev)  device: ID k=v ... followed by connectivity:/port:/os:/
+                      app:/traffic:/timing_range:/robustness:/encryption:/
+                      introspection:/stored_data:/monitor:/compromise:/
+                      false_alarm: lines
+  context script      one event per line: "<t> <lat> <lon>", strictly
                       increasing t
                       (in these three, # starts a comment anywhere on a line)
   score list (.csv)   port,description,score rows; # comments allowed

@@ -50,11 +50,21 @@ def load_score_list(path: str) -> dict[int, PortScoreEntry]:
     return entries
 
 
+def _port_list(items) -> list[int]:
+    """The ports of items, in order; ValueError on one given twice."""
+    ports: dict[int, None] = {}
+    for port in map(int, items):
+        if port in ports:
+            raise ValueError(f"duplicate port {port}")
+        ports[port] = None
+    return list(ports)
+
+
 def parse_ports(value) -> list[int] | range:
     """Ports to scan from a "lo-hi" range or a comma list; None is all.
 
-    ValueError for a reversed range, a list of no port or a port outside
-    1-65535 (range ends).
+    ValueError for a reversed range, a list of no port, a port listed
+    twice or a port outside 1-65535 (range ends).
     """
     if value is None:
         return range(1, 65536)
@@ -62,7 +72,7 @@ def parse_ports(value) -> list[int] | range:
         return value
     text = str(value)
     if isinstance(value, (list, tuple)):
-        ports = ends = [int(p) for p in value]
+        ports = ends = _port_list(value)
     elif "-" in text:
         lo, _, hi = text.partition("-")
         ends = [int(lo), int(hi)]
@@ -70,7 +80,7 @@ def parse_ports(value) -> list[int] | range:
         if not ports:
             raise ValueError(f"a reversed range {value!r}")
     else:
-        ports = ends = [int(p) for p in text.split(",") if p]
+        ports = ends = _port_list(p for p in text.split(",") if p)
         if not ports:
             raise ValueError(f"no port in {value!r}")
     if not all(1 <= port <= 65535 for port in ends):

@@ -2,7 +2,7 @@
 
 from .capture import CaptureRecord, CaptureTap, read_capture, write_capture
 from .clock import VirtualClock
-from .context import (ContextEvent, ContextFeed, ContextPredicate, Day,
+from .context import (ContextEvent, ContextFeed, ContextPredicate,
                       load_trajectory)
 from .devspec import DeviceSpec, load_device_spec
 from .loopnet import LoopbackNetwork
@@ -16,8 +16,7 @@ __all__ = [
     "BACKENDS",
     "CaptureRecord", "CaptureTap", "read_capture", "write_capture",
     "VirtualClock",
-    "ContextEvent", "ContextFeed", "ContextPredicate", "Day",
-    "load_trajectory",
+    "ContextEvent", "ContextFeed", "ContextPredicate", "load_trajectory",
     "DeviceSpec", "load_device_spec",
     "LoopbackNetwork",
     "DeviceHandle", "MemoryNetwork",

@@ -1,4 +1,4 @@
-"""Context feed: device location, virtual time, day of week.
+"""Context feed: device location and virtual time.
 
 The feed replays a trajectory script and publishes ContextEvent updates to
 subscribers (the compromised-device trigger watches it this way).  A
@@ -7,42 +7,22 @@ window on the virtual clock; every clause present must hold.
 
 Trajectory script format, one sample per line::
 
-    # t_seconds  latitude  longitude  [day]
+    # t_seconds  latitude  longitude
     0    32.0853  34.7818
-    60   32.0861  34.7839  TUESDAY
+    60   32.0861  34.7839
 
-When the day column is absent it is derived from t (day 0 = MONDAY).  A
-malformed script raises AnalysisError("<path>:<line>: ...").
+A malformed script raises AnalysisError("<path>:<line>: ...").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from ..records import Source, finite
 
 EARTH_RADIUS_M = 6371000.0
-SECONDS_PER_DAY = 86400
-
-
-class Day(str, Enum):
-    MONDAY = "MONDAY"
-    TUESDAY = "TUESDAY"
-    WEDNESDAY = "WEDNESDAY"
-    THURSDAY = "THURSDAY"
-    FRIDAY = "FRIDAY"
-    SATURDAY = "SATURDAY"
-    SUNDAY = "SUNDAY"
-
-
-DAY_ORDER = list(Day)
-
-
-def day_for_time(t: float) -> Day:
-    return DAY_ORDER[int(t // SECONDS_PER_DAY) % 7]
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -59,7 +39,6 @@ class ContextEvent:
     t: float                       # virtual-clock instant
     lat: float
     lon: float
-    day: Day
 
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
@@ -109,14 +88,12 @@ def load_trajectory(path: str) -> list[ContextEvent]:
     with source.parsing():
         for text in source:
             fields = text.split("#", 1)[0].split()
-            if len(fields) not in (3, 4):
-                raise ValueError("expected: t lat lon [day]")
-            t, lat, lon = map(finite, fields[:3])
-            day = Day(fields[3].upper()) if len(fields) == 4 \
-                else day_for_time(t)
+            if len(fields) != 3:
+                raise ValueError("expected: t lat lon")
+            t, lat, lon = map(finite, fields)
             if samples and t <= samples[-1].t:
                 raise ValueError("trajectory times must strictly increase")
-            samples.append(ContextEvent(t=t, lat=lat, lon=lon, day=day))
+            samples.append(ContextEvent(t=t, lat=lat, lon=lon))
         if not samples:
             raise ValueError("trajectory script is empty")
     return samples

@@ -4,10 +4,9 @@ One file can declare several devices.  Each `device:` line opens a block;
 the lines that follow attach properties to it.  Values are `key=value`
 tokens (shlex rules, so banners may be quoted); `device:`, `port:`, `os:`
 and `app:` lines additionally take leading positional fields.  A value
-line (`address:`, `connectivity:`, `introspection:`, `stored_data:`)
-takes exactly one value, which may hold `=`.  A line with no quote or
-backslash splits to shlex's tokens without shlex: on runs of space, tab,
-CR and LF only.  A `#` starts a comment anywhere on a line, also inside
+line (`connectivity:`, `introspection:`, `stored_data:`) takes exactly
+one value, which may hold `=`.  A line with no quote or backslash splits
+to shlex's tokens without shlex: on runs of space, tab, CR and LF only.  A `#` starts a comment anywhere on a line, also inside
 quotes.  Each dot-separated piece of an `os:` or `app:` version starts
 with a digit, as each piece of a vulnerability range's bounds does, also
 in a spec built in code (`DeviceSpec.validate`).  A malformed file raises
@@ -20,7 +19,6 @@ A key left out keeps the default of its dataclass field.  The example
 below uses every kind of line and every key:
 
     device: cam01 type=ip_camera
-    address: 10.0.0.11
     connectivity: lte
     port: 80 service=http banner="lighttpd 1.4.35" default_creds=admin:admin
     port: 81 service=http-alt crash_on_malformed=true
@@ -134,7 +132,6 @@ class FalseAlarmSpec:
 class DeviceSpec:
     device_id: str
     device_type: str = "generic"
-    address: str = ""
     connectivity: str = "wifi"
     ports: dict[int, PortSpec] = field(default_factory=dict)
     os: SoftwareSpec | None = None
@@ -255,7 +252,6 @@ _SOFTWARE = {0: ("name", str), 1: ("version", _version),
 _LINES = {
     "device": (1, (), {0: ("device_id", str), "type": ("device_type", str),
                        **_named(str, "connectivity")}),
-    "address": (1, (), {0: ("address", str)}),
     "connectivity": (1, (), {0: ("connectivity", str)}),
     "port": (1, (), {0: ("number", int),
                      **_named(str, "service banner default_creds"),

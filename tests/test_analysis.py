@@ -24,7 +24,7 @@ from iotbed.analysis import (
 )
 from iotbed.errors import AnalysisError
 from iotbed.simnet.capture import CaptureRecord
-from iotbed.simnet.context import ContextEvent, Day
+from iotbed.simnet.context import ContextEvent
 from iotbed.simnet.status import InternalStatusSample
 
 
@@ -41,7 +41,7 @@ def sample(ts, cpu=10.0, mem=1e6, fs=0):
 
 
 def ctx(t, lat=32.0, lon=34.0):
-    return ContextEvent(t=t, lat=lat, lon=lon, day=Day.MONDAY)
+    return ContextEvent(t=t, lat=lat, lon=lon)
 
 
 # -- windowing --------------------------------------------------------------

@@ -64,6 +64,14 @@ BAD_CRITERIA = {
     "management_ports": (
         None, "management_access, TEST, {target=cam1, management_ports=x}",
         "management_ports: bad port list 'x'"),
+    # a port listed twice would be probed, and logged in to, twice
+    "repeated_port": ("criteria.port_risk.ports=80,80",
+                      "port_risk, TEST, {target=cam1}",
+                      "ports: bad port list '80,80'"),
+    "repeated_management_port": (
+        "criteria.management_access.management_ports=23,23",
+        "management_access, TEST, {target=cam1}",
+        "management_ports: bad port list '23,23'"),
     "observe_s": (
         None, "scan_detectability, TEST, {target=cam1, observe_s=abc}",
         "observe_s must be a number >= 0, got 'abc'"),
@@ -183,6 +191,10 @@ BAD_SCENARIOS = {
     "malformed_trajectory": (
         [DEVICES], "USER, GPS_SIM, START, {bad.ctx}", "bad.ctx", 1,
         "expected: t lat lon"),
+    # a day-of-week column is read by nothing, so it is refused
+    "trajectory_day_column": (
+        [DEVICES], "USER, GPS_SIM, START, {day.ctx}", "day.ctx", 2,
+        "expected: t lat lon\n"),
     "missing_profile_model": (
         [DEVICES, "profile_model=none.prof"], CLOCK_SET, "scn.scn", 3,
         "cannot read"),
@@ -200,6 +212,8 @@ def test_run_rejects_a_bad_scenario_at_its_line(tmp_path, capsys, case):
     (tmp_path / "cam.dev").write_text(CAMERA_TEXT)
     (tmp_path / "clock.dev").write_text(CAMERA_TEXT.replace("cam1", "CLOCK"))
     (tmp_path / "bad.ctx").write_text("0 32.0853\n")
+    (tmp_path / "day.ctx").write_text(
+        "0 32.0853 34.7818\n60 32.0861 34.7839 TUESDAY\n")
     (tmp_path / "bad.prof").write_text("not a model\n")
     (tmp_path / "scn.scn").write_text(
         "scenario: bad\n" + "".join(f"option: {o}\n" for o in options)
@@ -457,6 +471,17 @@ def test_scan_unknown_device_id(run_layout, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_scan_rejects_an_address_line_at_its_line(tmp_path, capsys):
+    # nothing reads a device's address, so a spec cannot give one
+    spec = tmp_path / "cam.dev"
+    spec.write_text(CAMERA_TEXT.replace("\nport: 23",
+                                        "\naddress: 10.0.0.11\nport: 23"))
+    code = main(["scan", str(spec)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}:2: unknown property 'address'\n")
+
+
 MOTE_TEXT = """\
 device: mote1 type=sensor_mote connectivity=zigbee
 traffic: size_mean=120 size_stddev=12 gap_ms=400 gap_stddev_ms=40 session_rate=8 ttl=32
@@ -652,7 +677,7 @@ def test_bad_config_value_names_path_and_line(tmp_path, capsys):
     assert f"error: {config}:3: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ports", ["x", "70000", "100-1", ","])
+@pytest.mark.parametrize("ports", ["x", "70000", "100-1", ",", "80,80"])
 def test_scan_bad_ports_is_a_usage_error(run_layout, ports):
     with pytest.raises(SystemExit) as exc:
         main(["scan", str(run_layout / "cam.dev"), "--ports", ports])

@@ -22,10 +22,11 @@ from iotbed.analysis import read_findings
 from iotbed.cli import main
 from iotbed.errors import AnalysisError
 from iotbed.scenario import load_scenario
-from iotbed.simnet import (CaptureRecord, MemoryNetwork, load_trajectory,
-                           read_capture, read_status, write_capture)
+from iotbed.simnet import (CaptureRecord, ContextEvent, ContextPredicate,
+                           MemoryNetwork, load_trajectory, read_capture,
+                           read_status, write_capture)
 from iotbed.simnet.capture import CAPTURE_LAYOUT
-from iotbed.simnet.devspec import load_device_spec
+from iotbed.simnet.devspec import _LINES, load_device_spec
 
 # sha256 of `iotbed --seed 7 run` on the conftest context scenario, taken
 # before the artifact readers and writers moved onto iotbed.records;
@@ -538,6 +539,27 @@ def source_nodes(names=None):
             tree = ast.parse(fh.read(), filename=path)
         for node in ast.walk(tree):
             yield name, node
+
+
+def test_every_input_is_read():
+    # a device-spec value or trajectory column that nothing reads is an
+    # input the testbed ignores.  A name is read where the package loads it
+    # as an attribute or pops it from a dict by name: load_device_spec pops
+    # a compromise: line's fields into a ContextPredicate, whose fields are
+    # checked here too
+    read = set()
+    for _, node in source_nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "pop" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            read.add(node.args[0].value)
+    inputs = {attr for _, _, fields in _LINES.values()
+              for attr, _ in fields.values()}
+    inputs.update(f.name for cls in (ContextEvent, ContextPredicate)
+                  for f in dataclasses.fields(cls))
+    assert sorted(inputs - read) == []
 
 
 def test_source_has_no_assert_statements():

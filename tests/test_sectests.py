@@ -16,6 +16,7 @@ from iotbed.sectests.plugins import (
 from iotbed.sectests.portrisk import (
     DEFAULT_SCORE_LIST,
     load_score_list,
+    parse_ports,
     risk_level,
     score_ports,
 )
@@ -254,6 +255,10 @@ def test_port_risk_range_restriction():
     # a range of one port is not a reversed range
     one = run_plugin("port_risk", net, criteria={"ports": "80-80"})
     assert "open ports [80]" in one.detail
+    # a port listed twice is refused by name, as a score list's is
+    for ports in ("80,443,80", [23, 23]):
+        with pytest.raises(ValueError, match=r"^duplicate port (80|23)$"):
+            parse_ports(ports)
 
 
 def test_port_risk_no_ports_is_safe():

@@ -24,7 +24,6 @@ from iotbed.simnet.context import (
     ContextEvent,
     ContextFeed,
     ContextPredicate,
-    Day,
     haversine_m,
     load_trajectory,
 )
@@ -142,8 +141,13 @@ def test_bad_property_values_rejected(tmp_path):
                   "introspection: sideways\n", tmp_path)
     with pytest.raises(AnalysisError, match=input_at(tmp_path, 3) + "missing"):
         load_text(load_device_spec,
-                  "device: d type=server\n\naddress:   # none given\n",
+                  "device: d type=server\n\nconnectivity:   # none given\n",
                   tmp_path)
+    # nothing reads a device's address, so no line sets one
+    with pytest.raises(AnalysisError, match=input_at(tmp_path, 2)
+                       + "unknown property 'address'$"):
+        load_text(load_device_spec,
+                  "device: d type=server\naddress: 10.0.0.11\n", tmp_path)
     # a value line takes exactly one value
     for line, token in (("stored_data: sensitive junk", "junk"),
                         ("connectivity: zigbee extra", "extra")):
@@ -240,8 +244,7 @@ def test_docstring_example_loads_to_its_spec():
                     for kind, (_, _, fields) in devspec._LINES.items()}
     assert load_text(load_device_spec, example) == [
         DeviceSpec(
-            device_id="cam01", device_type="ip_camera", address="10.0.0.11",
-            connectivity="lte",
+            device_id="cam01", device_type="ip_camera", connectivity="lte",
             ports={
                 80: PortSpec(number=80, service="http",
                              banner="lighttpd 1.4.35",
@@ -486,19 +489,21 @@ def test_haversine_against_oracle():
             oracle_haversine(lat1, lon1, lat2, lon2), rel=1e-9)
 
 
-def test_parse_trajectory_rows_and_day_default():
-    events = load_text(load_trajectory,
-                       "0 32.0 34.0\n10 32.1 34.1 TUESDAY  # inline\n")
-    assert len(events) == 2
-    assert events[0].t == 0.0 and events[0].day is Day.MONDAY
-    assert events[1].day is Day.TUESDAY
+def test_parse_trajectory_rows_and_reject_a_day_column(tmp_path):
+    events = load_text(load_trajectory, "0 32.0 34.0\n10 32.1 34.1 # inline\n")
+    assert events == [ContextEvent(t=0.0, lat=32.0, lon=34.0),
+                      ContextEvent(t=10.0, lat=32.1, lon=34.1)]
+    # nothing reads a day of the week, so a row has no fourth column
+    with pytest.raises(AnalysisError, match=input_at(tmp_path, 2)
+                       + "expected: t lat lon$"):
+        load_text(load_trajectory, "0 32.0 34.0\n10 32.1 34.1 TUESDAY\n",
+                  tmp_path)
 
 
 def test_parse_trajectory_rejects_disorder_and_garbage(tmp_path):
     for text, line in (("10 32 34\n5 32 34\n", 2),
                        ("# t lat lon\nabc 32 34\n", 2),
                        ("0 32 34\n5 95 34\n", 2),
-                       ("0 32 34 FUNDAY\n", 1),
                        ("", 1)):
         with pytest.raises(AnalysisError, match=input_at(tmp_path, line)):
             load_text(load_trajectory, text, tmp_path)
@@ -508,16 +513,15 @@ def test_context_predicate_circle_and_window():
     pred = ContextPredicate(center_lat=32.0853, center_lon=34.7818,
                             radius_m=150.0, window_start=100.0,
                             window_end=220.0)
-    inside = ContextEvent(t=150.0, lat=32.0853, lon=34.7818, day=Day.MONDAY)
-    outside_geo = ContextEvent(t=150.0, lat=32.0953, lon=34.7818, day=Day.MONDAY)
-    outside_time = ContextEvent(t=500.0, lat=32.0853, lon=34.7818, day=Day.MONDAY)
+    inside = ContextEvent(t=150.0, lat=32.0853, lon=34.7818)
+    outside_geo = ContextEvent(t=150.0, lat=32.0953, lon=34.7818)
+    outside_time = ContextEvent(t=500.0, lat=32.0853, lon=34.7818)
     assert pred.matches(inside)
     assert not pred.matches(outside_geo)
     assert not pred.matches(outside_time)
     # boundary: ~150 m north of center must still match at the radius edge
     edge_lat = 32.0853 + 150.0 / 111195.0
-    near_edge = ContextEvent(t=150.0, lat=edge_lat - 1e-6, lon=34.7818,
-                             day=Day.MONDAY)
+    near_edge = ContextEvent(t=150.0, lat=edge_lat - 1e-6, lon=34.7818)
     assert pred.matches(near_edge)
 
 
@@ -526,7 +530,7 @@ def test_context_feed_delivers_events_in_order():
     seen = []
     feed.subscribe(seen.append)
     for t in (0.0, 10.0, 20.0):
-        feed.publish(ContextEvent(t=t, lat=1.0, lon=1.0, day=Day.MONDAY))
+        feed.publish(ContextEvent(t=t, lat=1.0, lon=1.0))
     assert [e.t for e in seen] == [0.0, 10.0, 20.0]
 
 
@@ -1037,7 +1041,7 @@ def test_context_trigger_fires_probe_burst():
         net.spawn_device(s, dut=(i == 0))
     net.observe(50)
     assert net.burst_log() == []
-    inside = [ContextEvent(t=60.0, lat=32.0853, lon=34.7818, day=Day.MONDAY)]
+    inside = [ContextEvent(t=60.0, lat=32.0853, lon=34.7818)]
     net.advance_context(inside)
     net.observe(5)  # let every scheduled probe fire
     window, = net.burst_log()
@@ -1054,7 +1058,7 @@ def test_context_outside_radius_stays_quiet():
     for i, s in enumerate(spec):
         net.spawn_device(s, dut=(i == 0))
     net.observe(50)
-    away = [ContextEvent(t=60.0, lat=32.0953, lon=34.7818, day=Day.MONDAY)]
+    away = [ContextEvent(t=60.0, lat=32.0953, lon=34.7818)]
     net.advance_context(away)
     assert net.burst_log() == []
 
@@ -1206,7 +1210,7 @@ def _conformance_facts(net):
 
         def context_then_observe():
             net.advance_context([ContextEvent(t=0.1, lat=32.0853,
-                                              lon=34.7818, day=Day.MONDAY)])
+                                              lon=34.7818)])
             net.observe(0.5)
 
         found = op(lambda: net.scan_ports("tester", "cam9", [22, 23, 80, 443]))
@@ -1285,7 +1289,7 @@ def _burst_starts(net):
                                            CONFORMANCE_TEXT)):
             net.spawn_device(spec, dut=(i == 0))
         net.advance_context([
-            ContextEvent(t=t, lat=lat, lon=34.7818, day=Day.MONDAY)
+            ContextEvent(t=t, lat=lat, lon=34.7818)
             for t, lat in ((0.3, 32.0853), (0.5, 32.0953), (0.7, 32.0853))])
         return [w.t_start for w in net.burst_log()]
     finally:
@@ -1308,7 +1312,7 @@ def test_bad_context_events_are_rejected_before_any_is_published(
         net.observe(0.05)
         with pytest.raises(TransportError):
             net.advance_context([
-                ContextEvent(t=t, lat=32.0853, lon=34.7818, day=Day.MONDAY)
+                ContextEvent(t=t, lat=32.0853, lon=34.7818)
                 for t in times])
         assert net.feed.history == []
     finally:
